@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test check check-concur bench-smoke bench bench-pipeline bench-lanes bench-links bench-health bench-e7 lint stats monitor
+.PHONY: test check check-concur bench-smoke bench bench-lanes bench-links bench-health bench-e7 lint stats monitor
 
 ## Tier-1: the full unit/integration suite (tests/ only).
 test:
@@ -24,24 +24,20 @@ check-concur:
 bench-smoke:
 	$(PYTHON) -m pytest benchmarks/test_obs_overhead.py -m benchmarks -s -p no:cacheprovider
 
-## Serial vs concurrent device fan-out throughput; writes BENCH_pipeline.json.
-bench-pipeline:
-	$(PYTHON) -m pytest benchmarks/test_pipeline_throughput.py -m benchmarks -s -p no:cacheprovider
-
 ## Coordinator-lane sweep (1/2/4/8 lanes, partition-disjoint workload);
 ## writes BENCH_lanes.json (docs/CONCURRENCY.md).
 bench-lanes:
 	$(PYTHON) -m pytest benchmarks/test_lane_throughput.py -m benchmarks -s -p no:cacheprovider
 
-## Event-driven device links vs thread-per-device fan-out (16 devices,
-## 2 ms serial craft channels); writes BENCH_links.json and fails when
-## the link layer is < 2x the baseline (docs/DEVICE_LINKS.md).
+## Device-link throughput (16 devices, 2 ms serial craft channels) and
+## the stalled-link admission check; writes BENCH_links.json
+## (docs/DEVICE_LINKS.md).
 bench-links:
 	$(PYTHON) -m pytest benchmarks/test_links_throughput.py -m benchmarks -s -p no:cacheprovider
 
 ## Health-plane overhead: pipeline throughput with the journal + health
-## board + background auditor on vs observability off; writes
-## BENCH_health.json and fails on > 5% regression.
+## board + background auditor on vs observability off, in the same run;
+## writes BENCH_health.json and fails on > 5% regression.
 bench-health:
 	$(PYTHON) -m pytest benchmarks/test_health_overhead.py -m benchmarks -s -p no:cacheprovider
 

@@ -58,10 +58,10 @@ def ablate_dependencies(mapping: CompiledMapping) -> CompiledMapping:
 COUNTER = {"evaluations": 0}
 
 
-def counting_execute(original_execute):
-    def wrapper(code, attrs, value=None):
+def counting_run_rule(original_run_rule):
+    def wrapper(code, attrs, value=None, **kwargs):
         COUNTER["evaluations"] += 1
-        return original_execute(code, attrs, value)
+        return original_run_rule(code, attrs, value, **kwargs)
 
     return wrapper
 
@@ -76,8 +76,9 @@ def test_a4_rule_evaluations(benchmark, analysis, monkeypatch):
     descriptors = make_descriptors(60)
 
     COUNTER["evaluations"] = 0
+    # Every rule evaluation of a mapping goes through ``run_rule``.
     monkeypatch.setattr(
-        mapping_module, "execute", counting_execute(mapping_module.execute)
+        mapping_module, "run_rule", counting_run_rule(mapping_module.run_rule)
     )
 
     def run():

@@ -1,24 +1,21 @@
-"""Device-link throughput: pipelined command streams vs thread-per-device.
+"""Device-link throughput and stalled-link admission.
 
-The event-driven link layer (docs/DEVICE_LINKS.md) replaces the fan-out
-stage's thread-per-device blocking writes with per-device command
-streams: one dispatcher thread coalesces queued ops into batches, pays
-**one** round-trip per batch, and keeps a bounded window of streams in
-flight per device.  This benchmark builds the fleet that refactor
-targets: sixteen devices (fifteen PBXes with disjoint extension
-prefixes plus the shared messaging platform), every link a *serial
-craft channel* costing ``link_commands`` sequential round-trips per
-blocking op — so the messaging platform, touched by every update, is
-the structural bottleneck the batching collapses.
+The event-driven link layer (docs/DEVICE_LINKS.md) is the fan-out: per
+device command streams, where one dispatcher thread coalesces queued ops
+into batches, pays **one** round-trip per batch, and keeps a bounded
+window of streams in flight per device.  This benchmark builds the fleet
+that layer targets: sixteen devices (fifteen PBXes with disjoint
+extension prefixes plus the shared messaging platform), every link a
+*serial craft channel* costing ``link_commands`` sequential round-trips
+per op — so the messaging platform, touched by every update, is the
+structural bottleneck the batching collapses.
 
-Measures update sequences/second for the thread-per-device baseline
-(``fanout_workers`` pool, one blocking write per device) against
-``device_links=True`` on the same four-lane coordinator, repeats the
-comparison with a mixed-latency fleet (slow shared messaging link), and
-records a stalled-device observation showing the lane depth limit
-bounding queued work while a link is down.  Asserts the headline
-speedup (>= 2x on the uniform 2 ms fleet) and writes the results to
-``BENCH_links.json``.  Run with::
+Measures update sequences/second and the messaging link's mean batch on
+a four-lane coordinator, for a uniform 2 ms fleet and a mixed-latency
+fleet (slow shared messaging link), and records a stalled-device
+observation: the lane depth limit must bound queued work while a link is
+down (asserted).  Writes the results to ``BENCH_links.json``.  Run
+with::
 
     make bench-links
 """
@@ -40,9 +37,9 @@ LINK_LATENCY = 0.002
 CLIENTS = 8
 #: Person adds per client per measured run.
 UPDATES_PER_CLIENT = 5
-#: Best-of runs per mode.
+#: Best-of runs per fleet.
 REPEATS = 3
-#: Coordinator lanes in both modes (the production sharded queue).
+#: Coordinator lanes (the production sharded queue).
 LANES = 4
 #: PBX count; with the messaging platform the fleet is 16 devices.
 PBX_COUNT = 15
@@ -50,8 +47,6 @@ PBX_COUNT = 15
 PBX_COMMANDS = 2
 #: Commands per blocking op on the messaging platform's channel.
 MESSAGING_COMMANDS = 3
-#: Required speedup of device links over thread-per-device fan-out.
-SPEEDUP_FLOOR = 2.0
 
 #: Disjoint two-digit extension prefixes: clients use 41..48, the rest
 #: of the fleet (51..57) is provisioned but idle — it still costs link
@@ -63,17 +58,13 @@ PREFIXES = [str(41 + i) for i in range(CLIENTS)] + [
 RESULTS_PATH = Path(__file__).resolve().parent.parent / "BENCH_links.json"
 
 
-def _fleet(mode: str, messaging_latency: float = LINK_LATENCY) -> MetaComm:
+def _fleet(messaging_latency: float = LINK_LATENCY) -> MetaComm:
     """Sixteen devices on serial craft channels, rules on the compiled
-    tier.  ``mode`` selects the fan-out machinery: ``"threads"`` is the
-    thread-per-device baseline (a pool worker sleeps through every
-    device's round-trips), ``"links"`` the event-driven dispatcher."""
+    tier, fan-out over the event-driven link dispatcher."""
     config = MetaCommConfig(
         pbxes=[PbxConfig(f"pbx-{i + 1}", (p,)) for i, p in enumerate(PREFIXES)],
         coordinator_lanes=LANES,
         lexpress_mode="compiled",
-        device_links=(mode == "links"),
-        fanout_workers=PBX_COUNT + 1 if mode == "threads" else 1,
     )
     system = MetaComm(config)
     for pbx in system.pbxes.values():
@@ -87,10 +78,10 @@ def _fleet(mode: str, messaging_latency: float = LINK_LATENCY) -> MetaComm:
     return system
 
 
-def _run_once(mode: str, messaging_latency: float = LINK_LATENCY) -> dict:
+def _run_once(messaging_latency: float = LINK_LATENCY) -> dict:
     """One measured run: CLIENTS threads adding into disjoint partitions;
-    returns the rate plus (for links) the messaging link's batching."""
-    system = _fleet(mode, messaging_latency)
+    returns the rate plus the messaging link's batching."""
+    system = _fleet(messaging_latency)
     try:
         errors: list[Exception] = []
 
@@ -128,24 +119,22 @@ def _run_once(mode: str, messaging_latency: float = LINK_LATENCY) -> dict:
         assert stats["processed"] == total
         # Partition-disjoint traffic never serializes behind one lane.
         assert stats.get("serial_routed", 0) == 0
-        sample = {"seq_per_s": total / elapsed}
-        if mode == "links":
-            rows = {row["device"]: row for row in system.links.snapshot()}
-            messaging = rows["messaging"]
-            assert messaging["completed"] == total
-            sample["messaging_flushes"] = messaging["flushes"]
-            sample["messaging_mean_batch"] = round(
-                total / messaging["flushes"], 2
-            )
-        return sample
+        rows = {row["device"]: row for row in system.links.snapshot()}
+        messaging = rows["messaging"]
+        assert messaging["completed"] == total
+        return {
+            "seq_per_s": total / elapsed,
+            "messaging_flushes": messaging["flushes"],
+            "messaging_mean_batch": round(total / messaging["flushes"], 2),
+        }
     finally:
         system.close()
 
 
-def _measure(mode: str, messaging_latency: float = LINK_LATENCY) -> dict:
+def _measure(messaging_latency: float = LINK_LATENCY) -> dict:
     best = None
     for _ in range(REPEATS):
-        sample = _run_once(mode, messaging_latency)
+        sample = _run_once(messaging_latency)
         if best is None or sample["seq_per_s"] > best["seq_per_s"]:
             best = sample
     best["seq_per_s"] = round(best["seq_per_s"], 1)
@@ -165,7 +154,6 @@ def _observe_stall() -> dict:
         MetaCommConfig(
             pbxes=[PbxConfig("pbx-1", ("41",))],
             coordinator_lanes=2,
-            device_links=True,
             lane_depth_limit=depth_limit,
             busy_policy="defer",
             busy_timeout=30.0,
@@ -224,20 +212,8 @@ def test_device_link_throughput():
         ("uniform-2ms", LINK_LATENCY),
         ("slow-messaging-8ms", 4 * LINK_LATENCY),
     ):
-        baseline = _measure("threads", messaging_latency)
-        links = _measure("links", messaging_latency)
-        results.append(
-            {
-                "fleet": label,
-                "threads_seq_per_s": baseline["seq_per_s"],
-                "links_seq_per_s": links["seq_per_s"],
-                "speedup": round(
-                    links["seq_per_s"] / baseline["seq_per_s"], 2
-                ),
-                "messaging_flushes": links["messaging_flushes"],
-                "messaging_mean_batch": links["messaging_mean_batch"],
-            }
-        )
+        links = _measure(messaging_latency)
+        results.append({"fleet": label, **links})
     stall = _observe_stall()
 
     document = {
@@ -263,11 +239,10 @@ def test_device_link_throughput():
     RESULTS_PATH.write_text(json.dumps(document, indent=2) + "\n")
 
     print("\n=== device link throughput ===")
-    print("fleet               threads  links  speedup  mean batch")
+    print("fleet               seq/s  mean batch")
     for row in results:
         print(
-            f"{row['fleet']:<19} {row['threads_seq_per_s']:>7}  "
-            f"{row['links_seq_per_s']:>5}  {row['speedup']:>6}x  "
+            f"{row['fleet']:<19} {row['seq_per_s']:>5}  "
             f"{row['messaging_mean_batch']:>10}"
         )
     print(
@@ -275,10 +250,4 @@ def test_device_link_throughput():
         f"{stall['peak_lane_outstanding']} outstanding "
         f"(limit {stall['lane_depth_limit']}), "
         f"{stall['admission_deferred']} deferred at admission"
-    )
-
-    uniform = results[0]
-    assert uniform["speedup"] >= SPEEDUP_FLOOR, (
-        f"device-link speedup {uniform['speedup']}x over thread-per-device "
-        f"fan-out is below the {SPEEDUP_FLOOR}x floor on the uniform fleet"
     )

@@ -39,16 +39,16 @@ the document carries the acquisition-order graph under ``lock_order``.
 ``monitor`` usage::
 
     python -m repro monitor [--json] [--watch] [--interval=0.5] [--cycles=N]
-                            [--lanes=N] [--links]
+                            [--lanes=N]
 
 One-shot by default: runs the demo workload, one full audit cycle, and
-prints queue staleness, per-device health, active alerts and the audit
-verdict.  ``--watch`` redraws every ``--interval`` seconds (``--cycles``
-bounds the redraws; Ctrl-C stops).  ``--links`` runs the workload over
-event-driven device links (docs/DEVICE_LINKS.md) and adds a per-device
-link section: window occupancy, the batch-size histogram, and the
-deferred/rejected admission counters.  Exit code is 1 when any alert is
-active, 0 otherwise.
+prints queue staleness, per-device health, the per-device link section
+(window occupancy, the batch-size histogram, and the deferred/rejected
+admission counters — docs/DEVICE_LINKS.md), active alerts and the audit
+verdict.  ``--lanes=N`` runs the workload over N coordinator lanes and
+adds a per-lane section when N > 1.  ``--watch`` redraws every
+``--interval`` seconds (``--cycles`` bounds the redraws; Ctrl-C stops).
+Exit code is 1 when any alert is active, 0 otherwise.
 
 ``events`` usage::
 
@@ -248,7 +248,6 @@ def _demo_system(
     lanes: int = 1,
     lexpress_mode: str = "interpret",
     lock_witness: bool = False,
-    links: bool = False,
 ):
     """The stats/monitor/events demo workload: one LDAP add (fan-out to
     PBX + messaging) and one DDU (craft-terminal room change).
@@ -258,9 +257,7 @@ def _demo_system(
     real lanes to show.  ``lexpress_mode`` selects the rule execution
     engine (docs/LEXPRESS_COMPILER.md).  ``lock_witness`` wraps the
     subsystem locks in order-recording proxies so any acquisition-order
-    reversal during the workload lands in the journal.  ``links`` routes
-    the device fan-out through event-driven device links
-    (docs/DEVICE_LINKS.md) so the link monitor section has data.
+    reversal during the workload lands in the journal.
     """
     from repro.core import MetaComm, MetaCommConfig
     from repro.schemas import PERSON_CLASSES
@@ -271,7 +268,6 @@ def _demo_system(
             coordinator_lanes=lanes,
             lexpress_mode=lexpress_mode,
             lock_witness=lock_witness,
-            device_links=links,
         )
     )
     conn = system.connection()
@@ -429,14 +425,11 @@ def cmd_monitor(args: list[str]) -> int:
     interval = 0.5
     cycles: int | None = None
     lanes = 1
-    links = False
     for arg in args:
         if arg == "--json":
             as_json = True
         elif arg == "--watch":
             watch = True
-        elif arg == "--links":
-            links = True
         elif arg.startswith("--interval="):
             interval = float(arg.split("=", 1)[1])
         elif arg.startswith("--cycles="):
@@ -447,7 +440,7 @@ def cmd_monitor(args: list[str]) -> int:
             print(f"monitor: unknown option {arg!r}", file=sys.stderr)
             return 2
 
-    system = _demo_system(lanes=lanes, links=links)
+    system = _demo_system(lanes=lanes)
     try:
         remaining = cycles if cycles is not None else (1 if not watch else None)
         ran = 0

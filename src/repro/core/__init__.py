@@ -22,7 +22,7 @@ from .pipeline import (
     UpdateSequencePipeline,
     merge_attrs,
 )
-from .queue import GlobalUpdateQueue, QueuedUpdate, ShardedUpdateQueue
+from .queue import QueuedUpdate, ShardedUpdateQueue
 from .sync import SyncReport, Synchronizer
 from .update_manager import DeviceBinding, UpdateManager
 
@@ -37,7 +37,6 @@ __all__ = [
     "FailurePolicy",
     "Filter",
     "FilterError",
-    "GlobalUpdateQueue",
     "LdapFilter",
     "MediatorError",
     "MetaComm",

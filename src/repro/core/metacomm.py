@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..devices.links import LinkConfig, LinkDispatcher
 from ..devices.messaging.platform import MessagingPlatform
 from ..devices.pbx.definity import DefinityPbx, partition_expression
 from ..devices.pbx.ossi import OssiTerminal
@@ -86,24 +87,17 @@ class MetaCommConfig:
     #: unless started — tests and the `monitor` CLI drive cycles
     #: explicitly.
     audit_interval: float = 0.5
-    #: Worker threads for the update pipeline's device fan-out stage.
-    #: 1 (default) preserves the paper's serial device order; >1 applies
-    #: the planned per-device updates concurrently (the repositories are
-    #: disjoint, so per-device histories are unchanged — see
-    #: docs/PIPELINE.md for the serialization argument).
-    fanout_workers: int = 1
     #: Concurrent coordinator lanes for the Update Manager's drain path.
-    #: 1 (default) is the paper's single global queue, byte-identical in
-    #: behaviour; >1 builds a routing oracle from the mapping
-    #: configuration (repro.analysis.build_routing_plan) and shards
-    #: provably-commuting updates over that many lanes, with a serial
-    #: fallback lane for everything unprovable — see docs/CONCURRENCY.md.
+    #: 1 (default) is the paper's single global queue: strict serial
+    #: order, no routing oracle.  >1 builds a routing oracle from the
+    #: mapping configuration (repro.analysis.build_routing_plan) and
+    #: shards provably-commuting updates over that many lanes, with a
+    #: serial fallback lane for everything unprovable — see
+    #: docs/CONCURRENCY.md.
     coordinator_lanes: int = 1
-    #: Event-driven device links (docs/DEVICE_LINKS.md): replace the
-    #: blocking thread-per-device fan-out with one dispatcher thread
-    #: driving pipelined, batched command streams over every device link.
-    #: Off by default — the blocking paths stay byte-identical.
-    device_links: bool = False
+    #: Device fan-out always runs over event-driven device links
+    #: (docs/DEVICE_LINKS.md): one dispatcher thread drives pipelined,
+    #: batched command streams over every device link.
     #: Maximum command streams (flushed batches) in flight per link.
     link_window: int = 4
     #: Maximum operations coalesced into one command stream.
@@ -113,7 +107,6 @@ class MetaCommConfig:
     #: Maximum outstanding updates per coordinator lane before LTAP's
     #: admission control defers or rejects with ServerBusy.  ``None``
     #: (default) disables admission — the pre-link unbounded behaviour.
-    #: Requires ``coordinator_lanes > 1`` to take effect.
     lane_depth_limit: int | None = None
     #: What admission does at the limit: "reject" answers ServerBusy
     #: immediately, "defer" waits up to ``busy_timeout`` first.
@@ -258,7 +251,8 @@ class MetaComm:
         if self.config.coordinator_lanes > 1:
             # The commutativity proof the sharded drain path rests on:
             # lexcheck's partition constraints + LX403 conflict probing,
-            # compiled once into a per-configuration RoutingPlan.
+            # compiled once into a per-configuration RoutingPlan.  One
+            # lane routes nothing, so it needs no plan.
             from ..analysis import build_routing_plan
 
             routing_plan = build_routing_plan(self.analysis_target())
@@ -273,7 +267,6 @@ class MetaComm:
             undo_on_failure=self.config.undo_on_failure,
             registry=self.obs.registry,
             tracer=self.obs.tracer,
-            fanout_workers=self.config.fanout_workers,
             journal=self.obs.journal,
             health=self.obs.health,
             coordinator_lanes=self.config.coordinator_lanes,
@@ -288,28 +281,24 @@ class MetaComm:
         #: The event-driven link layer (docs/DEVICE_LINKS.md): one
         #: dispatcher thread drives a pipelined, batched command stream
         #: per device; the fan-out stage submits apply closures instead of
-        #: blocking a worker per round-trip.  Started below, after the
-        #: lock witness has had its chance to wrap the dispatcher's locks.
-        self.links = None
-        if self.config.device_links:
-            from ..devices.links import LinkConfig, LinkDispatcher
-
-            self.links = LinkDispatcher(
-                metrics=self.obs.registry, journal=self.obs.journal
-            )
-            link_config = LinkConfig(
-                window=self.config.link_window,
-                batch=self.config.link_batch,
-                queue_limit=self.config.link_queue_limit,
-            )
-            self.um.pipeline.attach_links(
-                {
-                    binding.name: self.links.register(
-                        binding.filter.device, link_config
-                    )
-                    for binding in bindings
-                }
-            )
+        #: blocking on each round-trip.  Started below, after the lock
+        #: witness has had its chance to wrap the dispatcher's locks.
+        self.links = LinkDispatcher(
+            metrics=self.obs.registry, journal=self.obs.journal
+        )
+        link_config = LinkConfig(
+            window=self.config.link_window,
+            batch=self.config.link_batch,
+            queue_limit=self.config.link_queue_limit,
+        )
+        self.um.pipeline.attach_links(
+            {
+                binding.name: self.links.register(
+                    binding.filter.device, link_config
+                )
+                for binding in bindings
+            }
+        )
         if self.config.lane_depth_limit is not None:
             # Close the backpressure loop: saturated lanes surface at the
             # gateway as typed ServerBusy results, before any write.
@@ -347,10 +336,9 @@ class MetaComm:
 
             self.lock_witness = witness_system(self)
 
-        if self.links is not None:
-            # Started only now: the witness must wrap the dispatcher's
-            # condition before its event loop starts waiting on it.
-            self.links.start()
+        # Started only now: the witness must wrap the dispatcher's
+        # condition before its event loop starts waiting on it.
+        self.links.start()
 
     # -- bootstrap ------------------------------------------------------------------
 
@@ -384,14 +372,13 @@ class MetaComm:
     # -- lifecycle ---------------------------------------------------------------------
 
     def close(self) -> None:
-        """Release background resources (auditor thread, coordinator
-        thread, fan-out pool, link dispatcher)."""
+        """Release background resources (auditor thread, coordinator lane
+        threads, link dispatcher and notifier)."""
         self.auditor.stop()
         self.um.close()
-        if self.links is not None:
-            # After the UM: coordinator lanes may still be draining work
-            # through the links, and stop() fails any orphaned futures.
-            self.links.stop()
+        # After the UM: coordinator lanes may still be draining work
+        # through the links, and stop() fails any orphaned futures.
+        self.links.stop()
         if self._lexpress_listener is not None:
             lexpress.rule_cache().unsubscribe(self._lexpress_listener)
             self._lexpress_listener = None
@@ -555,7 +542,7 @@ class MetaComm:
                 "lanes": queue.lane_snapshot(),
             },
             "devices": self.obs.health.snapshot(),
-            "links": self.links.snapshot() if self.links is not None else None,
+            "links": self.links.snapshot(),
             "audit": report.to_dict() if report is not None else None,
             "alerts": [alert.to_dict() for alert in self.alerts.active()],
             "journal_events": len(self.obs.journal),

@@ -16,9 +16,10 @@ into explicit stages with first-class plan/outcome objects:
   up front (partition routing, Originator/conditional marking) and capture
   each repository's before-image for saga compensation.  The result is an
   :class:`UpdatePlan` holding one :class:`DevicePlan` per affected device.
-* **fanout** — apply the planned updates to the device repositories,
-  either serially (the paper's discipline) or concurrently across devices
-  (see below).
+* **fanout** — submit the planned updates to the device links, which
+  overlap every device's round-trip (see below).  A pipeline without a
+  link for every planned binding falls back to the paper's serial
+  discipline: one device at a time, in binding order.
 * **merge** — fold the closure-derived attributes and every device echo
   (defaults, truncations, generated ids) into one supplemental image.
   Attribute names are merged *case-insensitively* — LDAP attribute names
@@ -27,37 +28,38 @@ into explicit stages with first-class plan/outcome objects:
 * **supplemental** — write the merged image back through the LDAP filter,
   re-entering the originating session's entry lock.
 
-Why concurrent fan-out preserves the serialization discipline
--------------------------------------------------------------
+Why link fan-out preserves the serialization discipline
+------------------------------------------------------
 
-The queue serializes *sequences*: at most one update sequence is in its
-fanout stage at any time.  Within a sequence, each device binding receives
-at most one translated update, and the device repositories are disjoint
-(partitioned PBXes, the Messaging Platform) — so the per-repository
-apply order seen by any single device is identical in serial and parallel
-modes.  This is the same observation that lets multimaster replication
+The queue serializes *sequences* that might conflict.  Within a sequence,
+each device binding receives at most one translated update, and the
+device repositories are disjoint (partitioned PBXes, the Messaging
+Platform) — so the per-repository apply order seen by any single device
+is identical whether the devices are updated one after another or all at
+once.  Each link is FIFO, so a device also sees sequences in submission
+order.  This is the same observation that lets multimaster replication
 propagate to independent peers without quiescing: concurrency across
 *non-conflicting* targets cannot reorder the per-target history.
 
 Failure policies run *after* the fan-out barrier, replaying the device
 outcomes in binding order — so error-log records, abort decisions and
-saga-compensation order are byte-for-byte identical in both modes.  In
-parallel mode a device that committed *after* the abort point (it could
-not know a predecessor failed) is rolled back to its before-image,
-restoring exactly the state serial mode would have left.  A barrier
-before the supplemental write guarantees the section-5.5 ordering in both
-modes.
+saga-compensation order are byte-for-byte identical to the serial path.
+Link fan-out is optimistic: a device that committed *after* the abort
+point (it could not know a predecessor failed) is rolled back to its
+before-image, restoring exactly the state the serial path would have
+left.  A barrier before the supplemental write guarantees the section-5.5
+ordering on both paths.
 """
 
 from __future__ import annotations
 
-import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import TimeoutError as FutureTimeout
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Mapping, TYPE_CHECKING
 
+from ..devices.links import DeviceLink, LinkTimeout
 from ..ldap.backend import ChangeType
 from ..ldap.dn import DN
 from ..ldap.protocol import Session
@@ -85,7 +87,6 @@ from .filters.base import ApplyResult, FilterError
 from .filters.ldap_filter import LdapFilter
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from ..devices.links import DeviceLink
     from .update_manager import DeviceBinding
 
 __all__ = [
@@ -145,7 +146,7 @@ class FailurePolicy:
     shipped behaviour).  ``undo_on_failure`` — saga-style compensation of
     the device updates already applied (section 4.4's sketched future).
     Both act on the fan-out outcomes *in binding order*, so their effects
-    are identical whether the fan-out ran serially or concurrently.
+    are identical whether the fan-out ran serially or over device links.
     """
 
     abort_on_failure: bool = True
@@ -188,7 +189,7 @@ class DeviceOutcome:
     unexpected: Exception | None = None
     #: Device echo / generated attributes for the fold-back merge.
     supplement: dict[str, list[str]] = field(default_factory=dict)
-    #: True when parallel mode undid a commit past the abort point.
+    #: True when link fan-out undid a commit past the abort point.
     rolled_back: bool = False
 
     @property
@@ -216,7 +217,7 @@ class SequenceOutcome:
     abort_index: int | None = None
     #: Device names compensated by the saga policy, in compensation order.
     compensated: list[str] = field(default_factory=list)
-    #: Device names rolled back past the abort point (parallel mode only).
+    #: Device names rolled back past the abort point (link fan-out only).
     rolled_back: list[str] = field(default_factory=list)
     supplement: dict[str, list[str]] = field(default_factory=dict)
     supplemental_written: bool = False
@@ -230,11 +231,11 @@ class SequenceOutcome:
 
 
 class UpdateSequencePipeline:
-    """Executes update sequences as explicit stages with a fan-out policy.
+    """Executes update sequences as explicit stages.
 
-    ``fanout_workers`` selects the fan-out mode: ``1`` (the default)
-    preserves the paper's serial device order exactly; ``>1`` applies the
-    planned updates concurrently on a worker pool of that size.
+    The fan-out stage runs over the device links attached with
+    :meth:`attach_links` when every planned binding has one, and serially
+    in binding order otherwise.
     """
 
     def __init__(
@@ -245,7 +246,6 @@ class UpdateSequencePipeline:
         error_log: ErrorLog,
         policy: FailurePolicy | None = None,
         registry: MetricsRegistry | None = None,
-        fanout_workers: int = 1,
         compensate: Callable[[list, Trace | None], None] | None = None,
         journal=None,
         health=None,
@@ -260,18 +260,13 @@ class UpdateSequencePipeline:
         #: lifecycle events, the health board the per-device outcome feed.
         self.journal = journal
         self.health = health
-        if fanout_workers < 1:
-            raise ValueError("fanout_workers must be >= 1")
-        self._fanout_workers = fanout_workers
         self._compensate = compensate
-        self._pool: ThreadPoolExecutor | None = None
-        self._pool_lock = threading.Lock()
         #: Event-driven device links by binding name (see
-        #: :mod:`repro.devices.links`).  When attached, the fan-out stage
-        #: dispatches apply closures onto the links instead of the worker
-        #: pool: one dispatcher thread overlaps every device's round-trip
-        #: and coalesces ops into pipelined command streams.
-        self._links: dict[str, "DeviceLink"] = {}
+        #: :mod:`repro.devices.links`).  The fan-out stage dispatches apply
+        #: closures onto the links: one dispatcher thread overlaps every
+        #: device's round-trip and coalesces ops into pipelined command
+        #: streams.
+        self._links: dict[str, DeviceLink] = {}
         #: The outcome of the most recent sequence (diagnostic handle).
         self.last_outcome: SequenceOutcome | None = None
 
@@ -298,7 +293,7 @@ class UpdateSequencePipeline:
         )
         self.rolled_back_total = self.registry.counter(
             "metacomm_um_rolled_back_total",
-            "Parallel-mode rollbacks of device commits past an abort point",
+            "Link fan-out rollbacks of device commits past an abort point",
             labelnames=("device",),
         )
         self.stage_seconds = self.registry.histogram(
@@ -306,69 +301,16 @@ class UpdateSequencePipeline:
             "Duration of one pipeline stage of an update sequence",
             labelnames=("stage",),
         )
-        self.parallelism = self.registry.gauge(
-            "metacomm_um_fanout_parallelism",
-            "Device applies currently in flight in the fan-out stage",
-        )
 
     # -- configuration -----------------------------------------------------------
 
-    @property
-    def fanout_workers(self) -> int:
-        # Single-int snapshot under the GIL; the setter swaps it under
-        # _pool_lock and _executor() re-reads it there before building.
-        return self._fanout_workers  # lexcheck: ignore[LX503]
-
-    @fanout_workers.setter
-    def fanout_workers(self, workers: int) -> None:
-        if workers < 1:
-            raise ValueError("fanout_workers must be >= 1")
-        # Swap the pool reference under the lock, but drain it outside:
-        # shutdown(wait=True) blocks until in-flight applies finish, and
-        # those worker threads must not find the lock held (LX502).
-        stale = None
-        with self._pool_lock:
-            if workers != self._fanout_workers and self._pool is not None:
-                stale = self._pool
-                self._pool = None
-            self._fanout_workers = workers
-        if stale is not None:
-            stale.shutdown(wait=True)
-
-    @property
-    def parallel(self) -> bool:
-        return self._fanout_workers > 1
-
-    @property
-    def links_enabled(self) -> bool:
-        return bool(self._links)
-
-    def attach_links(self, links: Mapping[str, "DeviceLink"]) -> None:
+    def attach_links(self, links: Mapping[str, DeviceLink]) -> None:
         """Route fan-out through event-driven device links.
 
-        ``links`` maps binding names to their :class:`DeviceLink`; bindings
-        without a link fall back to an inline (blocking) apply."""
+        ``links`` maps binding names to their :class:`DeviceLink`.  A
+        sequence whose planned bindings do not all have a link runs the
+        serial fan-out instead (``attach_links({})`` forces it)."""
         self._links = dict(links)
-
-    def _executor(self) -> ThreadPoolExecutor:
-        with self._pool_lock:
-            if self._pool is None:
-                self._pool = ThreadPoolExecutor(
-                    max_workers=self._fanout_workers,
-                    thread_name_prefix="metacomm-fanout",
-                )
-            return self._pool
-
-    def close(self) -> None:
-        """Shut down the fan-out worker pool (idempotent)."""
-        # Same discipline as the fanout_workers setter: detach under the
-        # lock, block on the drain after releasing it.
-        stale = None
-        with self._pool_lock:
-            stale = self._pool
-            self._pool = None
-        if stale is not None:
-            stale.shutdown(wait=True)
 
     # -- stage bookkeeping --------------------------------------------------------
 
@@ -509,36 +451,33 @@ class UpdateSequencePipeline:
         session: Session | None,
         trace: Trace | None = None,
         serial: int = 0,
+        timeout: float | None = None,
     ) -> SequenceOutcome:
         """Execute one update sequence: enrich → plan → fanout → merge →
         supplemental.  Failure policies are applied inside the fan-out
         stage; the merge and supplemental stages are skipped for aborted
-        sequences and DELETE descriptors (matching section 4.4/5.5)."""
+        sequences and DELETE descriptors (matching section 4.4/5.5).
+
+        ``timeout`` bounds the wait for the device links (seconds, for the
+        whole fan-out); expiry raises :class:`LinkTimeout`."""
         stages: list[StageResult] = []
         plan = self.build_plan(descriptor, trace, serial=serial, stages=stages)
         outcome = SequenceOutcome(plan=plan, stages=stages)
         self.last_outcome = outcome
 
-        if self._links:
-            mode = "links"
-        elif self.parallel:
-            mode = "parallel"
-        else:
-            mode = "serial"
+        linked = bool(self._links) and all(
+            p.binding.name in self._links for p in plan.device_plans
+        )
         with self._stage(
             "fanout",
             trace,
             stages,
-            mode=mode,
+            mode="links" if linked else "serial",
             devices=len(plan.device_plans),
         ):
-            if self._links and plan.device_plans:
+            if linked:
                 outcomes = self._fanout_links(
-                    plan.device_plans, trace, serial
-                )
-            elif self.parallel and len(plan.device_plans) > 1:
-                outcomes = self._fanout_parallel(
-                    plan.device_plans, trace, serial
+                    plan.device_plans, trace, serial, timeout
                 )
             else:
                 outcomes = self._fanout_serial(
@@ -601,53 +540,55 @@ class UpdateSequencePipeline:
                 break
         return outcomes
 
-    def _fanout_parallel(
-        self, plans: list[DevicePlan], trace: Trace | None, serial: int = 0
-    ) -> list[DeviceOutcome]:
-        """Concurrent fan-out: every plan is applied on the worker pool and
-        the stage joins all of them (the barrier) before any policy runs.
-        Optimistic with respect to failures — a commit past an abort point
-        is undone afterwards by :meth:`_rollback_past_abort`."""
-        pool = self._executor()
-        futures = [
-            pool.submit(self._apply_one, plan, trace, serial)
-            for plan in plans
-        ]
-        return [future.result() for future in futures]
-
     def _fanout_links(
-        self, plans: list[DevicePlan], trace: Trace | None, serial: int = 0
+        self,
+        plans: list[DevicePlan],
+        trace: Trace | None,
+        serial: int = 0,
+        timeout: float | None = None,
     ) -> list[DeviceOutcome]:
         """Event-driven fan-out: each plan's apply closure is queued on its
         device link, where the dispatcher coalesces it with other
         sequences' ops for the same device into one pipelined command
         stream.  The barrier (awaiting every future) still runs before any
         failure policy, so the policy replay — and therefore error-log and
-        saga-compensation order — is identical to the serial path."""
-        submitted: list[tuple[DevicePlan, object | None]] = []
-        for plan in plans:
-            link = self._links.get(plan.binding.name)
-            if link is None:
-                submitted.append((plan, None))
-                continue
-            future = link.submit(
+        saga-compensation order — is identical to the serial path.
+
+        Optimistic with respect to failures: every plan is applied, and a
+        commit past an abort point is undone afterwards by
+        :meth:`_rollback_past_abort`.  The barrier waits at most
+        ``timeout`` seconds in total; on expiry the ops not yet started
+        are cancelled and :class:`LinkTimeout` is raised."""
+        futures = [
+            self._links[plan.binding.name].submit(
                 lambda p=plan: self._apply_one(p, trace, serial),
                 op=plan.update.action.value,
                 key=str(plan.update.key),
             )
-            submitted.append((plan, future))
+            for plan in plans
+        ]
+        deadline = None if timeout is None else time.monotonic() + timeout
         outcomes: list[DeviceOutcome] = []
-        for plan, future in submitted:
-            if future is None:
-                outcomes.append(self._apply_one(plan, trace, serial))
-            else:
-                outcomes.append(future.result())
+        for plan, future in zip(plans, futures):
+            left = (
+                None if deadline is None else max(0.0, deadline - time.monotonic())
+            )
+            try:
+                outcomes.append(future.result(timeout=left))
+            except FutureTimeout:
+                for pending in futures:
+                    pending.cancel()
+                raise LinkTimeout(
+                    f"{plan.binding.name}: no link completion for "
+                    f"{plan.update.action.value} key={plan.update.key} "
+                    f"within {timeout}s"
+                ) from None
         return outcomes
 
     def _apply_one(
         self, plan: DevicePlan, trace: Trace | None, serial: int = 0
     ) -> DeviceOutcome:
-        """Apply one planned update at its repository (worker body).
+        """Apply one planned update at its repository (link op body).
 
         Also the health plane's **outcome feed**: every attempt emits a
         ``device.attempt`` then a ``device.commit``/``device.failure``
@@ -666,39 +607,38 @@ class UpdateSequencePipeline:
                 conditional=update.conditional,
             )
         started = time.perf_counter()
-        with self.parallelism.track():
-            with trace_span(
-                trace,
-                "filter.apply",
-                device=binding.name,
-                conditional=update.conditional,
-            ) as span:
-                try:
-                    result = binding.filter.apply(update)
-                except FilterError as exc:
-                    if span is not None:
-                        span.attributes["error"] = exc.message
-                    outcome.error = exc
-                    self._note_outcome(outcome, trace, serial, started)
-                    return outcome
-                except Exception as exc:  # re-raised after the barrier
-                    outcome.unexpected = exc
-                    self._note_outcome(outcome, trace, serial, started)
-                    return outcome
-            outcome.result = result
-            self._note_outcome(outcome, trace, serial, started)
-            if update.key is not None and (
-                update.action is TargetAction.ADD or result.recovered
-            ):
-                # A record was (re)created at the device: echo its full
-                # view — defaults, truncations, generated ids — back to
-                # the directory so both sides agree (section 5.5).
-                outcome.supplement = self._echo_supplement(binding, update.key)
-            elif result.generated and update.key is not None:
-                outcome.supplement = self._generated_supplement(
-                    binding, update.key, result.generated
-                )
-            return outcome
+        with trace_span(
+            trace,
+            "filter.apply",
+            device=binding.name,
+            conditional=update.conditional,
+        ) as span:
+            try:
+                result = binding.filter.apply(update)
+            except FilterError as exc:
+                if span is not None:
+                    span.attributes["error"] = exc.message
+                outcome.error = exc
+                self._note_outcome(outcome, trace, serial, started)
+                return outcome
+            except Exception as exc:  # re-raised after the barrier
+                outcome.unexpected = exc
+                self._note_outcome(outcome, trace, serial, started)
+                return outcome
+        outcome.result = result
+        self._note_outcome(outcome, trace, serial, started)
+        if update.key is not None and (
+            update.action is TargetAction.ADD or result.recovered
+        ):
+            # A record was (re)created at the device: echo its full
+            # view — defaults, truncations, generated ids — back to
+            # the directory so both sides agree (section 5.5).
+            outcome.supplement = self._echo_supplement(binding, update.key)
+        elif result.generated and update.key is not None:
+            outcome.supplement = self._generated_supplement(
+                binding, update.key, result.generated
+            )
+        return outcome
 
     def _note_outcome(
         self,
@@ -745,8 +685,8 @@ class UpdateSequencePipeline:
     def _count_applied(self, outcome: SequenceOutcome) -> None:
         """Account the fan-out counters once the sequence's fate is known.
 
-        Counting after the policy pass (instead of inside the workers)
-        keeps the totals identical in serial and parallel modes: a
+        Counting after the policy pass (instead of inside the applies)
+        keeps the totals identical over links and serially: a
         speculative commit that was rolled back past an abort point never
         counts as fanned out — it shows up in ``rolled_back_total``."""
         for device_outcome in outcome.outcomes:
@@ -811,14 +751,14 @@ class UpdateSequencePipeline:
     def _rollback_past_abort(
         self, outcome: SequenceOutcome, trace: Trace | None
     ) -> None:
-        """Undo commits past the abort point (parallel mode only).
+        """Undo commits past the abort point (link fan-out only).
 
-        In serial mode a device past the failure is simply never reached;
-        a concurrent worker may already have committed before the policy
-        replay discovered the abort.  Restoring those repositories to
-        their before-images re-establishes the serial post-abort state.
-        Distinct from saga compensation: this is a parallelism artifact,
-        counted separately and applied in reverse binding order."""
+        On the serial path a device past the failure is simply never
+        reached; over the links it may already have committed before the
+        policy replay discovered the abort.  Restoring those repositories
+        to their before-images re-establishes the serial post-abort state.
+        Distinct from saga compensation: this is an artifact of optimistic
+        fan-out, counted separately and applied in reverse binding order."""
         if outcome.abort_index is None:
             return
         late = [

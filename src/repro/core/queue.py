@@ -1,4 +1,4 @@
-"""The Update Manager's update queues: global (paper-serial) and sharded.
+"""The Update Manager's update queue: N lanes over one serial counter.
 
 Paper section 4.4: "the LDAP filter ... creates a lexpress update
 descriptor for the update that is then added to a global queue in the UM.
@@ -6,23 +6,23 @@ The main thread of the UM, the coordinator, iterates through the global
 update queue" and "The queue maintained by the UM enforces a serialization
 order."
 
-:class:`GlobalUpdateQueue` is that paper queue: a plain FIFO with a serial
-number per item — the serial *is* the system-wide serialization order that
-makes the reapplication technique converge.  Items are stamped with their
-enqueue time so the dequeue path can feed the enqueue→dequeue latency
-histogram, and the consistency auditor publishes how long the oldest
-unclaimed item has waited (``metacomm_queue_oldest_age_seconds``).
+:class:`ShardedUpdateQueue` is that queue.  Every claim draws a serial
+number from one global counter — the serial *is* the system-wide
+serialization order that makes the reapplication technique converge —
+and lands on one of N FIFO lanes.  With one lane (the default) every
+item goes to lane ``0`` and the queue is the paper's single FIFO: each
+item runs once every smaller serial has finished.  With more lanes the
+routing oracle (:mod:`repro.analysis.routing`) spreads items it proved
+commuting over the lanes so they drain concurrently; items it cannot
+prove disjoint land on the serial lane, which drains under a barrier: a
+serial item runs only once every lane has quiesced past its serial, and
+lane items enqueued after it wait for it to finish.  See
+docs/CONCURRENCY.md for the protocol and its correctness argument.
 
-:class:`ShardedUpdateQueue` relaxes the single FIFO into N lanes plus one
-serial lane, *without giving up the serial numbers*: every claim still
-draws from one global counter, so the system-wide serialization order is
-preserved — lanes merely allow items the routing oracle
-(:mod:`repro.analysis.routing`) proved commuting to drain concurrently.
-Items the oracle cannot prove disjoint land on the serial lane, which
-drains under a barrier: a serial item runs only once every lane has
-quiesced past its serial, and lane items enqueued after it wait for it to
-finish.  See docs/CONCURRENCY.md for the protocol and its correctness
-argument.
+Items are stamped with their enqueue time so the claim path can feed the
+enqueue→run latency histogram, and the consistency auditor publishes how
+long the oldest waiting item has waited
+(``metacomm_queue_oldest_age_seconds``).
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from __future__ import annotations
 import itertools
 import threading
 import time
-from collections import deque
 from dataclasses import dataclass, field
 from zlib import crc32
 
@@ -74,194 +73,20 @@ class QueuedUpdate:
     descriptor: UpdateDescriptor
     #: ``time.perf_counter()`` at enqueue (0.0 for hand-built items).
     enqueued_at: float = field(default=0.0, compare=False)
-    #: Lane label assigned by the routing oracle (None on the global queue).
+    #: Lane label the item was claimed onto.
     lane: str | None = field(default=None, compare=False)
-    #: The oracle's reason: "partition" or one of the serial fallbacks.
+    #: The oracle's reason: "partition" or one of the serial fallbacks
+    #: (None at one lane, where the oracle is not consulted).
     reason: str | None = field(default=None, compare=False)
 
 
-class GlobalUpdateQueue:
-    """FIFO of update descriptors with a global serialization order."""
-
-    def __init__(
-        self,
-        registry: MetricsRegistry | None = None,
-        journal=None,
-    ) -> None:
-        self._items: deque[QueuedUpdate] = deque()
-        self._serials = itertools.count(1)
-        self._last_serial = 0
-        self._lock = threading.Lock()
-        self.journal = journal
-        registry = registry if registry is not None else MetricsRegistry()
-        self._enqueued = registry.counter(
-            "metacomm_queue_enqueued_total",
-            "Update descriptors appended to the global queue",
-        )
-        self._processed = registry.counter(
-            "metacomm_queue_processed_total",
-            "Update descriptors removed from the global queue",
-        )
-        self._depth = registry.gauge(
-            "metacomm_queue_depth",
-            "Update descriptors currently waiting in the global queue",
-        )
-        self._oldest_age = registry.gauge(
-            "metacomm_queue_oldest_age_seconds",
-            "How long the oldest unclaimed update has waited "
-            "(refreshed on queue transitions and each audit cycle)",
-        )
-        self._wait = registry.histogram(
-            "metacomm_queue_wait_seconds",
-            "Enqueue-to-dequeue latency of the global queue",
-        )
-        self.statistics = StatsView(
-            {
-                "enqueued": lambda: self._enqueued.value,
-                "processed": lambda: self._processed.value,
-            }
-        )
-
-    def _emit(self, kind: str, item: QueuedUpdate, trace) -> None:
-        if self.journal is None:
-            return
-        descriptor = item.descriptor
-        op = getattr(descriptor, "op", None)
-        self.journal.emit(
-            kind,
-            trace=trace,
-            serial=item.serial,
-            op=getattr(op, "value", op),
-            key=getattr(descriptor, "key", None),
-        )
-
-    def _complete(self, item: QueuedUpdate, trace) -> None:
-        """The shared leaving-the-queue path of ``claim`` and ``dequeue``:
-        one place observes the wait histogram and emits ``update.claimed``,
-        so journal/metric emission cannot drift between the two."""
-        if item.enqueued_at:
-            self._wait.observe(time.perf_counter() - item.enqueued_at)
-        self._emit(UPDATE_CLAIMED, item, trace)
-
-    def enqueue(
-        self, descriptor: UpdateDescriptor, trace=None
-    ) -> QueuedUpdate:
-        item = QueuedUpdate(
-            next(self._serials), descriptor, time.perf_counter()
-        )
-        with self._lock:
-            self._items.append(item)
-            self._last_serial = item.serial
-            self._enqueued.inc()
-            self._depth.set(len(self._items))
-        self.refresh_staleness()
-        self._emit(UPDATE_ACCEPTED, item, trace)
-        return item
-
-    def claim(
-        self, descriptor: UpdateDescriptor, trace=None
-    ) -> QueuedUpdate:
-        """Atomically enqueue-and-dequeue one descriptor for its caller.
-
-        The threaded coordinator hand-off needs the serialization order
-        *and* a guarantee that the caller processes its own descriptor —
-        a separate ``enqueue()``/``dequeue()`` pair lets two interleaved
-        sessions swap items, pairing a job with the wrong entry lock.
-        ``claim`` assigns the serial and accounts the item as enqueued and
-        processed in one critical section; the item is never visible to
-        any other dequeuer."""
-        now = time.perf_counter()
-        with self._lock:
-            item = QueuedUpdate(next(self._serials), descriptor, now)
-            self._last_serial = item.serial
-            self._enqueued.inc()
-            self._processed.inc()
-        self._emit(UPDATE_ACCEPTED, item, trace)
-        self._complete(item, trace)
-        return item
-
-    def dequeue(self, trace=None) -> QueuedUpdate | None:
-        with self._lock:
-            if not self._items:
-                return None
-            item = self._items.popleft()
-            self._processed.inc()
-            self._depth.set(len(self._items))
-        self.refresh_staleness()
-        self._complete(item, trace)
-        return item
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._items)
-
-    def peek_serial(self) -> int | None:
-        with self._lock:
-            return self._items[0].serial if self._items else None
-
-    @property
-    def last_serial(self) -> int:
-        """The highest serial issued so far (the serialization head)."""
-        with self._lock:
-            return self._last_serial
-
-    def oldest_age(self) -> float:
-        """Seconds the oldest unclaimed update has waited (0.0 if empty)."""
-        with self._lock:
-            if not self._items or not self._items[0].enqueued_at:
-                return 0.0
-            return time.perf_counter() - self._items[0].enqueued_at
-
-    def refresh_staleness(self) -> float:
-        """Recompute and publish the oldest-age gauge; returns the age.
-
-        Age is a function of *now*, so unlike depth it cannot be kept
-        current purely on queue transitions — the auditor calls this each
-        cycle (and tests call it directly)."""
-        age = self.oldest_age()
-        self._oldest_age.set(age)
-        return age
-
-    def lane_snapshot(self) -> list[dict]:
-        """The single FIFO viewed as one pseudo-lane, so monitoring code
-        renders identically against either queue class."""
-        return [
-            {
-                "lane": "0",
-                "depth": len(self),
-                "oldest_age": self.oldest_age(),
-                "last_serial": self.last_serial,
-            }
-        ]
-
-    def admit(
-        self,
-        descriptor: UpdateDescriptor,
-        rename: bool = False,
-        timeout: float | None = None,
-        trace=None,
-    ) -> str:
-        """Admission is a no-op on the paper-serial queue.
-
-        Interface parity with :meth:`ShardedUpdateQueue.admit`.  The
-        single FIFO is naturally bounded by client concurrency: every
-        producer either drains its own sequence synchronously or blocks
-        on the coordinator hand-off, so at most one update per client
-        session is ever outstanding."""
-        return "admitted"
-
-    def wake(self) -> None:
-        """Wake any consumer blocked on queue state (shutdown fast path).
-
-        The global FIFO has no condition waiters — consumers poll their
-        own work queues — so this is a no-op kept for interface parity
-        with :meth:`ShardedUpdateQueue.wake`."""
-
-
 class ShardedUpdateQueue:
-    """N FIFO lanes + one serial lane over a single global serial counter.
+    """N FIFO lanes (+ one serial lane when N > 1) over one serial counter.
 
-    The routing oracle assigns every claimed descriptor a lane key (hashed
+    With one lane there is no routing: every item lands on lane ``0``,
+    the routing oracle is never consulted (so no plan is needed), and the
+    queue runs items strictly in serial order.  With N > 1 lanes the
+    routing oracle assigns every claimed descriptor a lane key (hashed
     onto one of ``lanes`` labels) or sends it to the serial lane.  Claims
     are atomic, per-lane order is FIFO by serial, and the **barrier
     protocol** orders the serial lane against everything else:
@@ -282,14 +107,19 @@ class ShardedUpdateQueue:
 
     def __init__(
         self,
-        plan,
-        lanes: int = 2,
+        plan=None,
+        lanes: int = 1,
         registry: MetricsRegistry | None = None,
         journal=None,
         depth_limit: int | None = None,
     ) -> None:
         if lanes < 1:
             raise ValueError("a sharded queue needs at least one lane")
+        if lanes > 1 and plan is None:
+            raise ValueError(
+                "more than one lane requires a routing plan "
+                "(repro.analysis.build_routing_plan)"
+            )
         if depth_limit is not None and depth_limit < 1:
             raise ValueError("depth_limit must be >= 1")
         self.plan = plan
@@ -299,8 +129,9 @@ class ShardedUpdateQueue:
         #: admission control (the pre-link behaviour).
         self.depth_limit = depth_limit
         self.journal = journal
+        # One lane needs no serial lane: its FIFO already is serial order.
         self.labels: tuple[str, ...] = tuple(
-            [str(i) for i in range(lanes)] + [SERIAL_LANE]
+            [str(i) for i in range(lanes)] + ([SERIAL_LANE] if lanes > 1 else [])
         )
         self._cond = threading.Condition()
         self._serials = itertools.count(1)
@@ -409,6 +240,18 @@ class ShardedUpdateQueue:
             return SERIAL_LANE
         return str(crc32(lane_key.encode("utf-8")) % self.lanes)
 
+    def _route(
+        self, descriptor: UpdateDescriptor, rename: bool
+    ) -> tuple[str, str | None, bool]:
+        """(lane label, oracle reason, serial fallback?) for a descriptor.
+
+        One lane skips the oracle: its barrier reduces to plain serial
+        order, so no routing decision could change the schedule."""
+        if self.lanes == 1:
+            return "0", None, False
+        decision = self.plan.classify(descriptor, rename=rename)
+        return self.lane_of(decision.lane_key), decision.reason, decision.serial
+
     def claim(
         self,
         descriptor: UpdateDescriptor,
@@ -418,10 +261,11 @@ class ShardedUpdateQueue:
     ) -> QueuedUpdate:
         """Atomically assign the next global serial and a lane.
 
-        Like :meth:`GlobalUpdateQueue.claim`, the item is never visible to
-        any other consumer — the caller (or the lane worker it hands the
-        item to) must call :meth:`wait_turn` before processing and
-        :meth:`finish` afterwards.
+        The item is never visible to any other consumer — the caller (or
+        the lane worker it hands the item to) must call :meth:`wait_turn`
+        before processing and :meth:`finish` afterwards.  Claiming is what
+        keeps every client paired with its own descriptor: nobody else can
+        dequeue the item and run it under the wrong session.
 
         *dispatch*, when given, is invoked with the item inside the same
         critical section that assigns its serial.  The threaded hand-off
@@ -432,8 +276,7 @@ class ShardedUpdateQueue:
         lane's oldest outstanding serial while the older item sits
         behind it in the same FIFO.  *dispatch* must not block (a
         ``queue.Queue.put`` is fine)."""
-        decision = self.plan.classify(descriptor, rename=rename)
-        label = self.lane_of(decision.lane_key)
+        label, reason, serial_fallback = self._route(descriptor, rename)
         now = time.perf_counter()
         with self._cond:
             serial = next(self._serials)
@@ -443,12 +286,10 @@ class ShardedUpdateQueue:
             self._lane_last[label] = serial
             self._enqueued.inc()
             self._lane_enqueued.labels(lane=label).inc()
-            if decision.serial:
-                self._serial_fallback.labels(reason=decision.reason).inc()
+            if serial_fallback:
+                self._serial_fallback.labels(reason=reason).inc()
             self._publish_depth()
-            item = QueuedUpdate(
-                serial, descriptor, now, lane=label, reason=decision.reason
-            )
+            item = QueuedUpdate(serial, descriptor, now, lane=label, reason=reason)
             if dispatch is not None:
                 try:
                     dispatch(item)
@@ -459,7 +300,7 @@ class ShardedUpdateQueue:
                     self._waiting[label].pop(serial, None)
                     self._publish_depth()
                     raise
-        self._emit(UPDATE_ACCEPTED, item, trace, reason=decision.reason)
+        self._emit(UPDATE_ACCEPTED, item, trace, reason=reason)
         return item
 
     # -- admission control ----------------------------------------------------
@@ -475,9 +316,10 @@ class ShardedUpdateQueue:
 
         Called by LTAP's admission hook *before* the directory write, with
         a descriptor built from the inbound request: the routing oracle
-        says which lane the update would land on, and if that lane already
-        holds ``depth_limit`` outstanding updates the caller either defers
-        (bounded wait of ``timeout`` seconds for capacity) or — when the
+        says which lane the update would land on (lane ``0`` at one lane),
+        and if that lane already holds ``depth_limit`` outstanding updates
+        the caller either defers (bounded wait of ``timeout`` seconds for
+        capacity) or — when the
         wait expires, or ``timeout`` is ``None``/``0`` — gets
         :class:`QueueSaturatedError`, which the gateway surfaces as a
         typed ``ServerBusy`` LDAP result.  Returns ``"admitted"`` or
@@ -489,8 +331,7 @@ class ShardedUpdateQueue:
         an exact semaphore."""
         if self.depth_limit is None:
             return "admitted"
-        decision = self.plan.classify(descriptor, rename=rename)
-        label = self.lane_of(decision.lane_key)
+        label = self._route(descriptor, rename)[0]
         deadline = (
             time.perf_counter() + timeout if timeout else None
         )
@@ -547,7 +388,7 @@ class ShardedUpdateQueue:
                 for label, lane in self._outstanding.items()
                 if label != SERIAL_LANE
             )
-        serial_lane = self._outstanding[SERIAL_LANE]
+        serial_lane = self._outstanding.get(SERIAL_LANE)
         return not serial_lane or min(serial_lane) > item.serial
 
     def wait_turn(
@@ -617,7 +458,7 @@ class ShardedUpdateQueue:
             self._lane_depth.labels(lane=label).set(depth)
         self._depth.set(total)
 
-    # -- status (the GlobalUpdateQueue compatibility surface) ----------------
+    # -- status -----------------------------------------------------------------
 
     def __len__(self) -> int:
         with self._cond:

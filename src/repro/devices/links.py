@@ -14,7 +14,8 @@ This module replaces that with the link layer the ROADMAP calls the
   executes the ops when the stream's completion deadline arrives;
 * callers get :class:`concurrent.futures.Future` results from
   :meth:`DeviceLink.submit`, so one coordinator lane can keep many
-  devices' round-trips in flight at once;
+  devices' round-trips in flight at once; a future cancelled before its
+  batch executes is skipped, never run;
 * a full window *and* full submit queue surfaces as :class:`LinkBusy`
   (or a bounded blocking submit), the bottom of the backpressure chain
   that ends in LTAP's ``ServerBusy`` result (docs/DEVICE_LINKS.md).
@@ -29,6 +30,11 @@ Commit notifications raised while a batch executes are *deferred*: the
 dispatcher must never run a DDU listener inline (the listener fans back
 into the links and would deadlock the event loop), so a dedicated
 notifier thread delivers them FIFO after the ops commit.
+
+Shutdown order (:meth:`LinkDispatcher.stop`): stop the dispatcher, fail
+every orphaned future, *then* stop the notifier.  A notifier thread can
+be delivering a DDU whose update sequence waits on a link future; failing
+the orphans first releases that wait, so the notifier join returns.
 """
 
 from __future__ import annotations
@@ -46,11 +52,15 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..obs.events import EventJournal
     from ..obs.metrics import MetricsRegistry
 
-__all__ = ["LinkBusy", "LinkConfig", "DeviceLink", "LinkDispatcher"]
+__all__ = ["LinkBusy", "LinkConfig", "LinkTimeout", "DeviceLink", "LinkDispatcher"]
 
 
 class LinkBusy(DeviceError):
     """The link's submit queue is full and the caller asked not to wait."""
+
+
+class LinkTimeout(DeviceError):
+    """A submitted op did not complete before its caller's deadline."""
 
 
 @dataclass(frozen=True)
@@ -308,19 +318,18 @@ class LinkDispatcher:
         self._notifier.start()
 
     def stop(self) -> None:
-        """Stop both threads; fails any unflushed futures so no waiter hangs."""
+        """Stop both threads; fails any unflushed futures so no waiter hangs.
+
+        Orphans are failed *before* the notifier is stopped: the notifier
+        may be delivering a DDU whose fan-out waits on one of them, and
+        joining it first would wait forever.  Submits after ``stop`` fail
+        fast, so no new orphan can appear once the dispatcher is gone."""
         with self._cond:
             self._stopped = True
             self._cond.notify_all()
         if self._thread is not None:
             self._thread.join()
             self._thread = None
-        with self._notify_cond:
-            self._notify_stop = True
-            self._notify_cond.notify_all()
-        if self._notifier is not None:
-            self._notifier.join()
-            self._notifier = None
         orphans: list[_LinkOp] = []
         with self._cond:
             for link in self._links:
@@ -330,7 +339,14 @@ class LinkDispatcher:
                 orphans.extend(link._pending)
                 link._pending.clear()
         for op in orphans:
-            op.future.set_exception(DeviceError("device link stopped"))
+            if op.future.set_running_or_notify_cancel():
+                op.future.set_exception(DeviceError("device link stopped"))
+        with self._notify_cond:
+            self._notify_stop = True
+            self._notify_cond.notify_all()
+        if self._notifier is not None:
+            self._notifier.join()
+            self._notifier = None
 
     # -- event loop --------------------------------------------------------------
 
@@ -406,6 +422,8 @@ class LinkDispatcher:
         results: list[tuple[_LinkOp, object, BaseException | None]] = []
         with link_execution(sink):
             for op in batch.ops:
+                if not op.future.set_running_or_notify_cancel():
+                    continue  # cancelled by a caller past its deadline
                 try:
                     results.append((op, op.fn(), None))
                 except BaseException as exc:

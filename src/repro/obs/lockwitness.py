@@ -352,27 +352,19 @@ def witness_system(system, witness: LockWitness | None = None) -> LockWitness:
         "LtapGateway._quiesce_lock", gateway._quiesce_lock
     )
     queue = system.um.queue
-    if hasattr(queue, "_cond"):
-        queue._cond = witness.wrap("ShardedUpdateQueue._cond", queue._cond)
-    if hasattr(queue, "_lock"):
-        queue._lock = witness.wrap("GlobalUpdateQueue._lock", queue._lock)
-    pipeline = system.um.pipeline
-    pipeline._pool_lock = witness.wrap(
-        "UpdateSequencePipeline._pool_lock", pipeline._pool_lock
-    )
+    queue._cond = witness.wrap("ShardedUpdateQueue._cond", queue._cond)
     alerts = system.alerts
     alerts._lock = witness.wrap("AlertEngine._lock", alerts._lock)
     error_log = system.error_log
     error_log._lock = witness.wrap("ErrorLog._lock", error_log._lock)
     auditor = system.auditor
     auditor._lock = witness.wrap("ConsistencyAuditor._lock", auditor._lock)
-    links = getattr(system, "links", None)
-    if links is not None:
-        # Safe only because MetaComm defers links.start() until after this
-        # wrapping: swapping a Condition out from under a waiting thread
-        # would split the waiters between two locks.
-        links._cond = witness.wrap("LinkDispatcher._cond", links._cond)
-        links._notify_cond = witness.wrap(
-            "LinkDispatcher._notify_cond", links._notify_cond
-        )
+    links = system.links
+    # Safe only because MetaComm defers links.start() until after this
+    # wrapping: swapping a Condition out from under a waiting thread would
+    # split the waiters between two locks.
+    links._cond = witness.wrap("LinkDispatcher._cond", links._cond)
+    links._notify_cond = witness.wrap(
+        "LinkDispatcher._notify_cond", links._notify_cond
+    )
     return witness

@@ -163,7 +163,7 @@ class TestMonitorCommand:
         assert out.count("queue: depth=") == 2
 
     def test_links_text_section(self, capsys):
-        assert main(["monitor", "--links"]) == 0
+        assert main(["monitor"]) == 0
         out = capsys.readouterr().out
         assert "links:" in out
         for device in ("definity", "messaging"):
@@ -171,12 +171,12 @@ class TestMonitorCommand:
         assert "window=0/4" in out
         assert "batches[" in out
         assert "deferred=0" in out and "rejected=0" in out
-        # Without --links the dashboard has no link section.
-        assert main(["monitor"]) == 0
-        assert "links:" not in capsys.readouterr().out
+        # Links are always on: the option that enabled them is gone.
+        assert main(["monitor", "--links"]) == 2
+        capsys.readouterr()
 
     def test_links_json_snapshot(self, capsys):
-        assert main(["monitor", "--links", "--json"]) == 0
+        assert main(["monitor", "--json"]) == 0
         snapshot = json.loads(capsys.readouterr().out)
         links = {row["device"]: row for row in snapshot["links"]}
         assert set(links) == {"definity", "messaging"}
@@ -187,10 +187,6 @@ class TestMonitorCommand:
             assert row["deferred"] == 0 and row["rejected"] == 0
             assert row["flushes"] >= 1
             assert sum(row["batch_sizes"].values()) == row["flushes"]
-        # Without --links the snapshot carries an explicit null.
-        assert main(["monitor", "--json"]) == 0
-        snapshot = json.loads(capsys.readouterr().out)
-        assert snapshot["links"] is None
 
     def test_unknown_option_is_exit_2(self, capsys):
         assert main(["monitor", "--bogus"]) == 2

@@ -19,7 +19,8 @@ def person_attrs(cn, sn, **extra):
 
 @pytest.fixture
 def system():
-    return MetaComm(MetaCommConfig(organizations=("Marketing", "R&D")))
+    with MetaComm(MetaCommConfig(organizations=("Marketing", "R&D"))) as system:
+        yield system
 
 
 @pytest.fixture
@@ -188,14 +189,15 @@ class TestMultiPbxPartitioning:
 
     @pytest.fixture
     def system(self):
-        return MetaComm(
+        with MetaComm(
             MetaCommConfig(
                 pbxes=[
                     PbxConfig("pbx-west", ("41", "42")),
                     PbxConfig("pbx-east", ("43",)),
                 ]
             )
-        )
+        ) as system:
+            yield system
 
     def test_add_routes_to_owning_pbx(self, system, conn):
         conn.add(
@@ -423,10 +425,11 @@ class TestIdentityResolution:
 
 class TestFanoutModes:
     """The staged pipeline must behave identically whether the fan-out
-    stage runs devices serially or on a worker pool — every scenario here
-    is checked against the consistent() oracle in both modes."""
+    stage runs over the device links or serially (links detached) — every
+    scenario here is checked against the consistent() oracle in both
+    modes."""
 
-    @pytest.fixture(params=[1, 4], ids=["serial", "parallel"])
+    @pytest.fixture(params=["links", "serial"])
     def fleet(self, request):
         fleet = MetaComm(
             MetaCommConfig(
@@ -435,9 +438,10 @@ class TestFanoutModes:
                     PbxConfig("pbx-2", ("4",)),
                     PbxConfig("pbx-3", ("4",)),
                 ],
-                fanout_workers=request.param,
             )
         )
+        if request.param == "serial":
+            fleet.um.pipeline.attach_links({})
         yield fleet
         fleet.close()
 
@@ -483,14 +487,14 @@ class TestFanoutModes:
         fleet.connection().add(
             "cn=A B,o=Lucent", person_attrs("A B", "B", definityExtension="4100")
         )
-        # Serial mode never reached pbx-3/messaging; parallel mode rolled
+        # Serial mode never reached pbx-3/messaging; link fan-out rolled
         # them back — either way nothing past the failure survives.
         assert not fleet.pbxes["pbx-3"].contains("4100")
         assert fleet.messaging.size() == 0
         assert len(fleet.error_log) == 1
 
     def test_best_effort_continues_past_failure(self):
-        for workers in (1, 4):
+        for mode in ("links", "serial"):
             fleet = MetaComm(
                 MetaCommConfig(
                     pbxes=[
@@ -499,9 +503,10 @@ class TestFanoutModes:
                         PbxConfig("pbx-3", ("4",)),
                     ],
                     abort_on_failure=False,
-                    fanout_workers=workers,
                 )
             )
+            if mode == "serial":
+                fleet.um.pipeline.attach_links({})
             try:
 
                 def explode(op, key):

@@ -16,7 +16,8 @@ def person_attrs(cn, sn, **extra):
 
 @pytest.fixture
 def system():
-    return MetaComm(MetaCommConfig())
+    with MetaComm(MetaCommConfig()) as system:
+        yield system
 
 
 class TestInitialLoad:

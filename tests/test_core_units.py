@@ -1,10 +1,10 @@
-"""Unit tests for the smaller core components: the error log, the global
-update queue, and ACL decision corners."""
+"""Unit tests for the smaller core components: the error log, the
+one-lane update queue, and ACL decision corners."""
 
 import pytest
 
 from repro.core.errorlog import ErrorLog
-from repro.core.queue import GlobalUpdateQueue
+from repro.core.queue import QueueSaturatedError, ShardedUpdateQueue
 from repro.ldap import DN, LdapConnection, LdapServer, Session
 from repro.lexpress import UpdateDescriptor, UpdateOp
 from repro.ltap import AccessControl, AclRule, Rights, Subject
@@ -67,7 +67,9 @@ class TestErrorLog:
         ErrorLog(server, "o=L")  # second instantiation must not fail
 
 
-class TestGlobalUpdateQueue:
+class TestSingleLaneQueue:
+    """The paper's global queue: a one-lane ShardedUpdateQueue."""
+
     @staticmethod
     def descriptor(key):
         return UpdateDescriptor(
@@ -75,48 +77,81 @@ class TestGlobalUpdateQueue:
         )
 
     def test_fifo_order(self):
-        queue = GlobalUpdateQueue()
-        for key in ("a", "b", "c"):
-            queue.enqueue(self.descriptor(key))
-        keys = [queue.dequeue().descriptor.key for _ in range(3)]
-        assert keys == ["a", "b", "c"]
+        queue = ShardedUpdateQueue()
+        items = [queue.claim(self.descriptor(key)) for key in ("a", "b", "c")]
+        ran = []
+        for item in items:
+            # Only the oldest outstanding serial may run.
+            later = [i for i in items if i.serial > item.serial]
+            assert all(not queue.wait_turn(i, timeout=0) for i in later)
+            assert queue.wait_turn(item, timeout=0)
+            ran.append(item.descriptor.key)
+            queue.finish(item)
+        assert ran == ["a", "b", "c"]
 
     def test_serials_strictly_increase(self):
-        queue = GlobalUpdateQueue()
-        serials = [queue.enqueue(self.descriptor(str(i))).serial for i in range(5)]
+        queue = ShardedUpdateQueue()
+        serials = [queue.claim(self.descriptor(str(i))).serial for i in range(5)]
         assert serials == sorted(serials)
         assert len(set(serials)) == 5
 
-    def test_dequeue_empty_returns_none(self):
-        assert GlobalUpdateQueue().dequeue() is None
+    def test_one_lane_needs_no_routing_plan(self):
+        queue = ShardedUpdateQueue()
+        assert queue.labels == ("0",)
+        assert queue.claim(self.descriptor("a")).lane == "0"
+        with pytest.raises(ValueError, match="routing plan"):
+            ShardedUpdateQueue(lanes=2)
+
+    def test_one_lane_never_consults_the_oracle(self):
+        class Refusing:
+            def classify(self, descriptor, rename=False):
+                raise AssertionError("one lane must not classify")
+
+        queue = ShardedUpdateQueue(Refusing(), depth_limit=1)
+        assert queue.admit(self.descriptor("a")) == "admitted"
+        item = queue.claim(self.descriptor("a"), rename=True)
+        assert (item.lane, item.reason) == ("0", None)
+        # Admission control works at one lane too: the lane is full.
+        with pytest.raises(QueueSaturatedError) as excinfo:
+            queue.admit(self.descriptor("b"))
+        assert excinfo.value.lane == "0"
 
     def test_len_and_peek(self):
-        queue = GlobalUpdateQueue()
+        queue = ShardedUpdateQueue()
         assert len(queue) == 0
         assert queue.peek_serial() is None
-        item = queue.enqueue(self.descriptor("x"))
+        item = queue.claim(self.descriptor("x"))
         assert len(queue) == 1
         assert queue.peek_serial() == item.serial
+        queue.wait_turn(item)
+        assert len(queue) == 0
 
     def test_statistics(self):
-        queue = GlobalUpdateQueue()
-        queue.enqueue(self.descriptor("x"))
-        queue.dequeue()
-        queue.dequeue()
-        assert queue.statistics == {"enqueued": 1, "processed": 1}
+        queue = ShardedUpdateQueue()
+        item = queue.claim(self.descriptor("x"))
+        assert queue.wait_turn(item)
+        queue.finish(item)
+        assert queue.statistics == {
+            "enqueued": 1,
+            "processed": 1,
+            "serial_routed": 0,
+            "admission_deferred": 0,
+            "admission_rejected": 0,
+        }
 
     def test_depth_gauge_tracks_transitions(self):
         from repro.obs import MetricsRegistry
 
         registry = MetricsRegistry()
-        queue = GlobalUpdateQueue(registry=registry)
+        queue = ShardedUpdateQueue(registry=registry)
         assert registry.value("metacomm_queue_depth") == 0
-        queue.enqueue(self.descriptor("a"))
-        queue.enqueue(self.descriptor("b"))
+        first = queue.claim(self.descriptor("a"))
+        second = queue.claim(self.descriptor("b"))
         assert registry.value("metacomm_queue_depth") == 2
-        queue.dequeue()
+        queue.wait_turn(first)
         assert registry.value("metacomm_queue_depth") == 1
-        queue.dequeue()
+        queue.finish(first)
+        queue.wait_turn(second)
         assert registry.value("metacomm_queue_depth") == 0
 
     def test_oldest_age_gauge(self):
@@ -125,38 +160,42 @@ class TestGlobalUpdateQueue:
         from repro.obs import MetricsRegistry
 
         registry = MetricsRegistry()
-        queue = GlobalUpdateQueue(registry=registry)
+        queue = ShardedUpdateQueue(registry=registry)
         assert queue.oldest_age() == 0.0
-        queue.enqueue(self.descriptor("a"))
+        first = queue.claim(self.descriptor("a"))
         time.sleep(0.01)
         age = queue.refresh_staleness()
         assert age >= 0.01
         assert registry.value("metacomm_queue_oldest_age_seconds") == age
-        # Age follows the *oldest* item: a second enqueue doesn't reset it.
-        queue.enqueue(self.descriptor("b"))
+        # Age follows the *oldest* item: a second claim doesn't reset it.
+        second = queue.claim(self.descriptor("b"))
         assert queue.oldest_age() >= age
-        queue.dequeue()
-        queue.dequeue()
-        # Drained: the gauge drops back to zero on the dequeue transition.
+        for item in (first, second):
+            queue.wait_turn(item)
+            queue.finish(item)
+        # Drained: the gauge drops back to zero on the next refresh.
         assert queue.oldest_age() == 0.0
+        assert queue.refresh_staleness() == 0.0
         assert registry.value("metacomm_queue_oldest_age_seconds") == 0.0
 
-    def test_last_serial_tracks_claim_and_enqueue(self):
-        queue = GlobalUpdateQueue()
+    def test_last_serial_tracks_claims(self):
+        queue = ShardedUpdateQueue()
         assert queue.last_serial == 0
-        queue.enqueue(self.descriptor("a"))
+        queue.claim(self.descriptor("a"))
         assert queue.last_serial == 1
         queue.claim(self.descriptor("b"))
         assert queue.last_serial == 2
 
-    def test_journal_events_on_enqueue_claim_dequeue(self):
+    def test_journal_events_on_claim_and_turn(self):
         from repro.obs import EventJournal
 
         journal = EventJournal()
-        queue = GlobalUpdateQueue(journal=journal)
-        queue.enqueue(self.descriptor("a"), trace="trace-9")
-        queue.dequeue()
-        queue.claim(self.descriptor("b"))
+        queue = ShardedUpdateQueue(journal=journal)
+        first = queue.claim(self.descriptor("a"), trace="trace-9")
+        queue.wait_turn(first)
+        queue.finish(first)
+        second = queue.claim(self.descriptor("b"))
+        queue.wait_turn(second)
         kinds = [e.kind for e in journal.events()]
         assert kinds == [
             "update.accepted",
@@ -168,6 +207,7 @@ class TestGlobalUpdateQueue:
         assert first.trace_id == "trace-9"
         assert first.attributes["serial"] == 1
         assert first.attributes["op"] == "add"
+        assert first.attributes["lane"] == "0"
 
 
 class TestAclDecisions:

@@ -21,8 +21,11 @@ from repro.devices import (
     FieldSpec,
     InvalidFieldError,
 )
-from repro.devices.links import LinkBusy, LinkConfig, LinkDispatcher
+from repro.devices.links import LinkBusy, LinkConfig, LinkDispatcher, LinkTimeout
 from repro.core.filters.base import FilterError
+from repro.core.filters.device_filter import DeviceFilter
+from repro.devices.pbx.definity import DefinityPbx
+from repro.devices.pbx.ossi import OssiTerminal
 from repro.ldap import LdapError
 from repro.ldap.result import ResultCode
 from repro.lexpress.descriptor import UpdateDescriptor, UpdateOp
@@ -53,9 +56,8 @@ def person_image(cn, **extra):
 
 
 def linked_fleet(n_pbxes=3, **overrides):
-    """A links-enabled system whose PBXes share the extension prefix, so
-    one update fans out to every binding."""
-    overrides.setdefault("device_links", True)
+    """A system whose PBXes share the extension prefix, so one update fans
+    out to every binding."""
     return MetaComm(
         MetaCommConfig(
             pbxes=[PbxConfig(f"pbx-{i + 1}", ("4",)) for i in range(n_pbxes)],
@@ -311,21 +313,15 @@ class TestSubmitSurfaces:
             system.close()
 
     def test_ossi_terminal_submit_requires_link(self):
-        system = MetaComm(MetaCommConfig())
-        try:
-            with pytest.raises(DeviceError, match="no device link"):
-                system.terminal().submit("display station 4100")
-        finally:
-            system.close()
+        # MetaComm links every device it builds; a bare switch has none.
+        terminal = OssiTerminal(DefinityPbx("bare", ("4",)))
+        with pytest.raises(DeviceError, match="no device link"):
+            terminal.submit("display station 4100")
 
     def test_device_filter_submit_requires_link(self):
-        system = MetaComm(MetaCommConfig())
-        try:
-            binding = system.um.bindings[0]
-            with pytest.raises(FilterError, match="no device link"):
-                binding.filter.submit(None)
-        finally:
-            system.close()
+        device_filter = DeviceFilter(DefinityPbx("bare", ("4",)), schema="pbx")
+        with pytest.raises(FilterError, match="no device link"):
+            device_filter.submit(None)
 
     def test_journal_and_metrics_record_flushes(self):
         system = linked_fleet(1)
@@ -347,6 +343,66 @@ class TestSubmitSurfaces:
             assert registry.value(
                 "metacomm_link_flushes_total", device="pbx-1"
             ) >= 1
+        finally:
+            system.close()
+
+
+# -- bounded waits: shutdown ordering and the fan-out deadline ---------------
+
+
+class TestBoundedWaits:
+    def test_stop_releases_a_notifier_ddu_waiting_on_a_submit(self):
+        system = linked_fleet(2)
+        try:
+            system.connection().add(
+                "cn=A B,o=Lucent",
+                person_attrs("A B", "B", definityExtension="4100"),
+            )
+            stalled = system.links.link("pbx-2")
+            stalled.pause()
+            # The DDU commits on pbx-1's link; the notifier thread then
+            # delivers it, and its fan-out waits on paused pbx-2.
+            system.terminal("pbx-1").submit("change station 4100 room 2B-110")
+            wait_until(
+                lambda: stalled.snapshot()["pending"] == 1,
+                message="DDU fan-out waiting on the paused link",
+            )
+            stopper = threading.Thread(target=system.links.stop)
+            started = time.monotonic()
+            stopper.start()
+            stopper.join(timeout=5)
+            # Well inside the 30 s fan-out deadline: stop() failed the
+            # orphaned submit before joining the notifier.
+            assert not stopper.is_alive()
+            assert time.monotonic() - started < 5
+            assert system.links._notifier is None
+            assert any(
+                "device link stopped" in entry.first("metacommError")
+                for entry in system.error_log.entries()
+            )
+        finally:
+            system.close()
+
+    def test_fanout_wait_expires_as_link_timeout(self):
+        system = linked_fleet(1)
+        try:
+            system.um.coordinator_timeout = 0.2
+            link = system.links.link("pbx-1")
+            link.pause()
+            with pytest.raises(LinkTimeout, match="pbx-1"):
+                system.connection().add(
+                    "cn=A B,o=Lucent",
+                    person_attrs("A B", "B", definityExtension="4100"),
+                )
+            # The timed-out op was cancelled: resuming the link skips it.
+            link.resume()
+            wait_until(
+                lambda: link.snapshot()["pending"] == 0
+                and link.snapshot()["inflight"] == 0,
+                message="link drained",
+            )
+            assert not system.pbx("pbx-1").contains("4100")
+            assert link.snapshot()["completed"] == 0
         finally:
             system.close()
 
@@ -374,12 +430,10 @@ class TestLinkedSerialEquivalence:
         for mode in ("serial", "links"):
             overrides = dict(self.SCENARIOS[scenario])
             if mode == "links":
-                overrides.update(
-                    device_links=True, link_window=1, link_batch=1
-                )
-            else:
-                overrides.update(device_links=False)
+                overrides.update(link_window=1, link_batch=1)
             system = linked_fleet(3, **overrides)
+            if mode == "serial":
+                system.um.pipeline.attach_links({})
             try:
                 compensations = []
                 original = system.um._compensate
@@ -416,11 +470,11 @@ class TestLinkedSerialEquivalence:
         results = {}
         for mode in ("serial", "links"):
             overrides = (
-                dict(device_links=True, link_window=1, link_batch=1)
-                if mode == "links"
-                else dict(device_links=False)
+                dict(link_window=1, link_batch=1) if mode == "links" else {}
             )
             system = linked_fleet(3, **overrides)
+            if mode == "serial":
+                system.um.pipeline.attach_links({})
             try:
                 conn = system.connection()
                 conn.add(

@@ -89,7 +89,8 @@ def system():
         list(system.ldap_filter.person_classes) + ["callAccountingUser"]
     )
     system.call_accounting = device
-    return system
+    yield system
+    system.close()
 
 
 AUX_CLASSES = list(PERSON_CLASSES) + ["callAccountingUser"]

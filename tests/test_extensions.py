@@ -38,7 +38,8 @@ class TestSagaCompensation:
 
     @pytest.fixture
     def system(self):
-        return MetaComm(MetaCommConfig(undo_on_failure=True))
+        with MetaComm(MetaCommConfig(undo_on_failure=True)) as system:
+            yield system
 
     def test_add_compensated_when_later_device_fails(self, system):
         # PBX (first binding) succeeds, MP (second) fails: the PBX add

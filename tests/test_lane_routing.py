@@ -444,13 +444,16 @@ class TestMultiLaneCoordinator:
         finally:
             single.close()
 
-    def test_queue_class_follows_the_lane_count(self, fleet):
-        assert fleet.um.sharded
+    def test_queue_lanes_follow_the_lane_count(self, fleet):
         assert isinstance(fleet.um.queue, ShardedUpdateQueue)
+        assert fleet.um.queue.labels == ("0", "1", "2", "3", SERIAL_LANE)
         single = MetaComm(lane_fleet_config(1))
         try:
-            assert not single.um.sharded
-            assert not isinstance(single.um.queue, ShardedUpdateQueue)
+            # One lane is the paper's single queue: no serial lane and no
+            # routing plan to consult.
+            assert isinstance(single.um.queue, ShardedUpdateQueue)
+            assert single.um.queue.labels == ("0",)
+            assert single.um.queue.plan is None
         finally:
             single.close()
 
@@ -517,7 +520,7 @@ class TestMultiLaneCoordinator:
         # claim/wait_turn/finish run inline on the calling thread.
         fleet = MetaComm(lane_fleet_config(4))
         try:
-            assert fleet.um.sharded and not fleet.um.threaded
+            assert fleet.um.queue.lanes == 4 and not fleet.um.threaded
             errors = []
 
             def client(i):

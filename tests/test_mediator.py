@@ -25,7 +25,8 @@ def system():
         "cn=Jill Lu,o=Lucent",
         person_attrs("Jill Lu", "Lu", definityExtension="4200"),
     )
-    return system
+    yield system
+    system.close()
 
 
 @pytest.fixture

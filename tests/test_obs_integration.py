@@ -24,7 +24,8 @@ def person_attrs(cn, sn, **extra):
 
 @pytest.fixture
 def system():
-    return MetaComm(MetaCommConfig(organizations=("Marketing",)))
+    with MetaComm(MetaCommConfig(organizations=("Marketing",))) as system:
+        yield system
 
 
 def add_john(system):
@@ -81,10 +82,15 @@ class TestUpdateTrace:
             person_attrs("Dupe", "Dupe", definityExtension="4100"),
         )
         trace = system.last_trace("update")
-        (span,) = [
-            s for s in trace.find("filter.apply") if "error" in s.attributes
-        ]
-        assert span.attributes["device"] == "definity"
+        # Link fan-out is optimistic, so messaging (same phone number) may
+        # reject too; the definity span must carry the PBX's error.
+        failed = {
+            s.attributes["device"]: s
+            for s in trace.find("filter.apply")
+            if "error" in s.attributes
+        }
+        assert "definity" in failed
+        assert "4100" in failed["definity"].attributes["error"]
 
     def test_ddu_trace(self, system):
         add_john(system)
@@ -142,7 +148,13 @@ class TestMetrics:
 
     def test_statistics_views_stay_backward_compatible(self, system):
         add_john(system)
-        assert system.um.queue.statistics == {"enqueued": 1, "processed": 1}
+        assert system.um.queue.statistics == {
+            "enqueued": 1,
+            "processed": 1,
+            "serial_routed": 0,
+            "admission_deferred": 0,
+            "admission_rejected": 0,
+        }
         assert system.um.statistics["ldap_events"] == 1
         assert system.um.statistics["fanned_out"] == 2
         assert system.um.statistics["supplemental_writes"] == 1
@@ -200,7 +212,13 @@ class TestDisabledObservability:
         assert system.traces() == []
         assert system.last_trace("update") is None
         # Counters exist but stayed at zero — and the legacy views agree.
-        assert system.um.queue.statistics == {"enqueued": 0, "processed": 0}
+        assert system.um.queue.statistics == {
+            "enqueued": 0,
+            "processed": 0,
+            "serial_routed": 0,
+            "admission_deferred": 0,
+            "admission_rejected": 0,
+        }
 
     def test_disabled_scrape_renders_zeros(self):
         system = MetaComm(

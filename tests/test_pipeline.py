@@ -3,17 +3,18 @@
 Covers the pipeline's plan/outcome objects, the case-insensitive
 fold-back merge, the atomic queue claim of the threaded hand-off, and —
 the heart of the refactor — the guarantee that the failure policies
-(abort, saga compensation) behave *identically* in serial and parallel
-fan-out modes: same error-log records, same compensation order, same
+(abort, saga compensation) behave *identically* over device links and on
+the serial fan-out: same error-log records, same compensation order, same
 final device states.
 """
 
 import threading
+import time
 
 import pytest
 
 from repro.core import MetaComm, MetaCommConfig, PbxConfig, merge_attrs
-from repro.core.queue import GlobalUpdateQueue
+from repro.core.queue import ShardedUpdateQueue
 from repro.devices import InvalidFieldError
 from repro.ldap import Modification
 from repro.ldap.dn import DN
@@ -63,6 +64,12 @@ def device_states(system):
 
 def explode(op, key):
     raise InvalidFieldError("injected device fault")
+
+
+def serial_fanout(system):
+    """Detach the device links: every sequence takes the serial fan-out."""
+    system.um.pipeline.attach_links({})
+    return system
 
 
 class TestMergeAttrs:
@@ -129,45 +136,66 @@ class TestSupplementalCaseInsensitive:
 
 class TestQueueClaim:
     def test_claim_returns_the_callers_descriptor(self):
-        queue = GlobalUpdateQueue()
+        queue = ShardedUpdateQueue()
         foreign = UpdateDescriptor(UpdateOp.ADD, "ldap", "cn=other", new={"cn": ["other"]})
         mine = UpdateDescriptor(UpdateOp.ADD, "ldap", "cn=mine", new={"cn": ["mine"]})
-        queue.enqueue(foreign)
+        parked = queue.claim(foreign)
         item = queue.claim(mine)
-        # The old enqueue-then-dequeue dance would have handed back the
-        # foreign item here, pairing it with the wrong session.
+        # An enqueue-then-dequeue dance would have handed back the foreign
+        # item here, pairing it with the wrong session.
         assert item.descriptor is mine
-        assert len(queue) == 1
-        assert queue.dequeue().descriptor is foreign
+        assert parked.descriptor is foreign
+        assert len(queue) == 2
 
     def test_claim_assigns_the_global_serial(self):
-        queue = GlobalUpdateQueue()
-        first = queue.enqueue(UpdateDescriptor(UpdateOp.ADD, "ldap", "a", new={"cn": ["a"]}))
+        queue = ShardedUpdateQueue()
+        first = queue.claim(UpdateDescriptor(UpdateOp.ADD, "ldap", "a", new={"cn": ["a"]}))
         claimed = queue.claim(UpdateDescriptor(UpdateOp.ADD, "ldap", "b", new={"cn": ["b"]}))
         assert claimed.serial == first.serial + 1
 
-    def test_claim_counts_as_enqueued_and_processed(self):
-        queue = GlobalUpdateQueue()
-        queue.claim(UpdateDescriptor(UpdateOp.ADD, "ldap", "a", new={"cn": ["a"]}))
-        assert queue.statistics == {"enqueued": 1, "processed": 1}
+    def test_claim_and_turn_count_enqueued_and_processed(self):
+        queue = ShardedUpdateQueue()
+        item = queue.claim(UpdateDescriptor(UpdateOp.ADD, "ldap", "a", new={"cn": ["a"]}))
+        assert queue.statistics["enqueued"] == 1
+        assert queue.statistics["processed"] == 0
+        assert queue.wait_turn(item)
+        assert queue.statistics["processed"] == 1
 
     def test_threaded_trigger_ignores_foreign_queue_items(self):
         system = MetaComm(MetaCommConfig())
         system.um.start()
+        errors = []
+
+        def client():
+            try:
+                system.connection().add(
+                    "cn=A B,o=Lucent",
+                    person_attrs("A B", "B", definityExtension="4100"),
+                )
+            except Exception as exc:  # pragma: no cover - diagnostic
+                errors.append(exc)
+
         try:
-            # A descriptor parked on the queue by someone else must not be
-            # picked up by this trigger's hand-off.
-            foreign = UpdateDescriptor(UpdateOp.ADD, "ldap", "cn=parked", new={"cn": ["parked"]})
-            system.um.queue.enqueue(foreign)
-            system.connection().add(
-                "cn=A B,o=Lucent",
-                person_attrs("A B", "B", definityExtension="4100"),
+            # A descriptor claimed by someone else must not be picked up
+            # by this trigger's hand-off: it only orders the trigger's own
+            # item behind it.
+            foreign = system.um.queue.claim(
+                UpdateDescriptor(UpdateOp.ADD, "ldap", "cn=parked", new={"cn": ["parked"]})
             )
+            thread = threading.Thread(target=client)
+            thread.start()
+            deadline = time.monotonic() + 5
+            while len(system.um.queue) < 2 and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert len(system.um.queue) == 2
+            assert not system.pbx().contains("4100")
+            system.um.queue.finish(foreign)
+            thread.join(timeout=10)
+            assert not thread.is_alive() and errors == []
             assert system.pbx().contains("4100")
-            assert len(system.um.queue) == 1
-            assert system.um.queue.dequeue().descriptor is foreign
+            assert system.um.queue.statistics["processed"] == 1
         finally:
-            system.um.stop()
+            system.close()
 
     def test_threaded_concurrent_sessions_stay_paired(self):
         # Regression for the hand-off race: many clients racing through
@@ -208,14 +236,11 @@ class TestQueueClaim:
 class TestCompensationOrder:
     """Saga compensation with >= 3 bindings when a middle device rejects."""
 
-    @pytest.fixture(params=[1, 4], ids=["serial", "parallel"])
+    @pytest.fixture(params=["links", "serial"])
     def system(self, request):
-        system = fleet(
-            3,
-            abort_on_failure=True,
-            undo_on_failure=True,
-            fanout_workers=request.param,
-        )
+        system = fleet(3, abort_on_failure=True, undo_on_failure=True)
+        if request.param == "serial":
+            serial_fanout(system)
         yield system
         system.close()
 
@@ -245,8 +270,8 @@ class TestCompensationOrder:
             assert not system.pbxes[name].contains("4100")
         assert system.messaging.size() == 0
 
-    def test_parallel_rollback_covers_devices_past_the_abort_point(self):
-        system = fleet(3, fanout_workers=4)
+    def test_link_rollback_covers_devices_past_the_abort_point(self):
+        system = fleet(3)
         try:
             system.pbxes["pbx-1"].fault_injector = explode
             system.connection().add(
@@ -255,8 +280,8 @@ class TestCompensationOrder:
             )
             outcome = system.um.pipeline.last_outcome
             assert outcome.aborted and outcome.abort_index == 0
-            # The concurrent workers committed optimistically; the rollback
-            # pass undid them in reverse binding order.
+            # The links committed optimistically; the rollback pass undid
+            # them in reverse binding order.
             assert outcome.rolled_back == ["messaging", "pbx-3", "pbx-2"]
             assert (
                 system.obs.registry.value("metacomm_um_rolled_back_total") == 3
@@ -271,8 +296,9 @@ class TestCompensationOrder:
             system.close()
 
 
-class TestSerialParallelEquivalence:
-    """Byte-for-byte equivalent abort/saga semantics across modes."""
+class TestSerialLinksEquivalence:
+    """Byte-for-byte equivalent abort/saga semantics between the serial
+    fan-out and device links at their default window and batch."""
 
     SCENARIOS = {
         "abort": dict(abort_on_failure=True, undo_on_failure=False),
@@ -286,8 +312,10 @@ class TestSerialParallelEquivalence:
     @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
     def test_failure_injection_matches(self, scenario):
         results = {}
-        for workers in (1, 4):
-            system = fleet(3, fanout_workers=workers, **self.SCENARIOS[scenario])
+        for mode in ("serial", "links"):
+            system = fleet(3, **self.SCENARIOS[scenario])
+            if mode == "serial":
+                serial_fanout(system)
             try:
                 compensations = []
                 original = system.um._compensate
@@ -309,7 +337,7 @@ class TestSerialParallelEquivalence:
                     "cn=A B,o=Lucent",
                     person_attrs("A B", "B", definityExtension="4100"),
                 )
-                results[workers] = {
+                results[mode] = {
                     "errors": error_records(system),
                     "compensations": compensations,
                     "devices": device_states(system),
@@ -318,12 +346,14 @@ class TestSerialParallelEquivalence:
                 }
             finally:
                 system.close()
-        assert results[1] == results[4], scenario
+        assert results["serial"] == results["links"], scenario
 
     def test_success_path_matches(self):
         results = {}
-        for workers in (1, 4):
-            system = fleet(3, fanout_workers=workers)
+        for mode in ("serial", "links"):
+            system = fleet(3)
+            if mode == "serial":
+                serial_fanout(system)
             try:
                 conn = system.connection()
                 conn.add(
@@ -335,7 +365,7 @@ class TestSerialParallelEquivalence:
                     [Modification.replace("definityRoom", "2B-110")],
                 )
                 entry = conn.get("cn=A B,o=Lucent")
-                results[workers] = {
+                results[mode] = {
                     "entry": sorted(
                         (k, tuple(v))
                         for k, v in entry.attributes.to_dict().items()
@@ -345,8 +375,8 @@ class TestSerialParallelEquivalence:
                 }
             finally:
                 system.close()
-        assert results[1] == results[4]
-        assert results[1]["consistent"]
+        assert results["serial"] == results["links"]
+        assert results["serial"]["consistent"]
 
 
 class TestStagedOutcome:
@@ -379,7 +409,7 @@ class TestStagedOutcome:
         assert not outcome.supplemental_written
 
     def test_stage_histogram_and_spans(self):
-        system = fleet(2, fanout_workers=2)
+        system = fleet(2)
         try:
             system.connection().add(
                 "cn=A B,o=Lucent",
@@ -396,27 +426,27 @@ class TestStagedOutcome:
                 "stage.fanout", "stage.merge", "ldap.supplemental",
             } <= names
             (fanout_span,) = trace.find("stage.fanout")
-            assert fanout_span.attributes["mode"] == "parallel"
-            # The in-flight gauge is back to zero once the barrier passed.
-            assert (
-                system.obs.registry.value("metacomm_um_fanout_parallelism")
-                == 0
-            )
+            assert fanout_span.attributes["mode"] == "links"
         finally:
             system.close()
 
-    def test_fanout_workers_knob_is_live(self):
+    def test_fanout_mode_follows_the_links(self):
         system = fleet(2)
         try:
-            assert not system.um.pipeline.parallel
-            system.um.fanout_workers = 3
-            assert system.um.pipeline.parallel
-            system.connection().add(
+            conn = system.connection()
+            conn.add(
                 "cn=A B,o=Lucent",
                 person_attrs("A B", "B", definityExtension="4100"),
             )
+            (span,) = system.last_trace("update").find("stage.fanout")
+            assert span.attributes["mode"] == "links"
+            serial_fanout(system)
+            conn.add(
+                "cn=C D,o=Lucent",
+                person_attrs("C D", "D", definityExtension="4200"),
+            )
+            (span,) = system.last_trace("update").find("stage.fanout")
+            assert span.attributes["mode"] == "serial"
             assert system.consistent()
-            with pytest.raises(ValueError):
-                system.um.fanout_workers = 0
         finally:
             system.close()

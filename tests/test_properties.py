@@ -256,12 +256,12 @@ def test_metacomm_consistent_under_random_streams(params):
         populate_via_ldap,
     )
 
-    system = MetaComm(MetaCommConfig())
-    people = make_population(5, seed=seed % 997)
-    populate_via_ldap(system, people)
-    events = make_stream(
-        people, 12, ddu_fraction=ddu_fraction,
-        conflict_probability=conflict, seed=seed,
-    )
-    apply_stream(system, events)
-    assert system.inconsistencies() == []
+    with MetaComm(MetaCommConfig()) as system:
+        people = make_population(5, seed=seed % 997)
+        populate_via_ldap(system, people)
+        events = make_stream(
+            people, 12, ddu_fraction=ddu_fraction,
+            conflict_probability=conflict, seed=seed,
+        )
+        apply_stream(system, events)
+        assert system.inconsistencies() == []

@@ -29,6 +29,9 @@ class MetaCommMachine(RuleBasedStateMachine):
         self.terminal = self.system.terminal()
         self.live: set[str] = set()  # extensions with a person entry
 
+    def teardown(self):
+        self.system.close()
+
     def _dn(self, ext: str) -> str:
         return f"cn=User {ext},o=Lucent"
 

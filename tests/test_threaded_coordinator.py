@@ -6,6 +6,7 @@ to the coordinator thread and blocks until it signals completion, so the
 entry-lock semantics are identical to synchronous mode.
 """
 
+import sys
 import threading
 
 import pytest
@@ -32,7 +33,7 @@ def system():
     )
     system.um.start()
     yield system
-    system.um.stop()
+    system.close()
     assert system.lock_witness.violations() == []
 
 
@@ -291,10 +292,10 @@ class TestShardedThreadedMode:
         )
         system.um.start()
         yield system
-        system.um.stop()
+        system.close()
 
     def test_start_stop(self, system):
-        assert system.um.threaded and system.um.sharded
+        assert system.um.threaded and system.um.queue.lanes == 2
         system.um.stop()
         assert not system.um.threaded
         system.um.start()
@@ -342,3 +343,64 @@ class TestShardedThreadedMode:
             person_attrs("A B", "B", definityExtension="4100"),
         )
         assert observed and all(observed)
+
+
+class TestSyncModeOwnership:
+    """Synchronous mode (no ``um.start()``): every client thread runs
+    exactly its own update before its LDAP write returns."""
+
+    def test_every_acknowledged_write_is_already_on_the_pbx(self):
+        # Two clients at one lane, each modifying its own people.  If one
+        # client's trigger could run the other's queued update, the
+        # other's write would be acknowledged before its PBX changed.
+        system = MetaComm(MetaCommConfig(coordinator_lanes=1))
+        people = {
+            client: [f"4{client}{i:02d}" for i in range(5)] for client in (1, 2)
+        }
+        conn = system.connection()
+        for extensions in people.values():
+            for ext in extensions:
+                conn.add(
+                    f"cn=P {ext},o=Lucent",
+                    person_attrs(f"P {ext}", ext, definityExtension=ext),
+                )
+        stale: list[tuple[str, str, str | None]] = []
+        errors: list[Exception] = []
+        pbx = system.pbx()
+
+        def client(extensions):
+            conn = system.connection()
+            try:
+                for n in range(300):
+                    ext = extensions[n % len(extensions)]
+                    room = f"R{n}"
+                    conn.modify(
+                        f"cn=P {ext},o=Lucent",
+                        [Modification.replace("definityRoom", room)],
+                    )
+                    seen = pbx.get(ext).get("Room")
+                    if seen != room:
+                        stale.append((ext, room, seen))
+            except Exception as exc:  # pragma: no cover - diagnostic
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=client, args=(extensions,))
+                for extensions in people.values()
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        try:
+            assert not any(thread.is_alive() for thread in threads)
+            assert errors == []
+            assert stale == []
+            assert system.consistent()
+        finally:
+            system.close()

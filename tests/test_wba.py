@@ -9,7 +9,8 @@ from repro.wba import FormValidationError, WebAdmin, validate
 
 @pytest.fixture
 def system():
-    return MetaComm(MetaCommConfig(organizations=("Marketing", "R&D")))
+    with MetaComm(MetaCommConfig(organizations=("Marketing", "R&D"))) as system:
+        yield system
 
 
 @pytest.fixture

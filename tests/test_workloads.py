@@ -52,23 +52,23 @@ class TestPopulation:
         assert make_population(20, seed=9) == make_population(20, seed=9)
 
     def test_populate_via_ldap_provisions_everything(self):
-        system = MetaComm(MetaCommConfig())
-        people = make_population(10)
-        assert populate_via_ldap(system, people) == 10
-        assert system.pbx().size() == 10
-        assert system.messaging.size() == 10
-        assert system.consistent()
+        with MetaComm(MetaCommConfig()) as system:
+            people = make_population(10)
+            assert populate_via_ldap(system, people) == 10
+            assert system.pbx().size() == 10
+            assert system.messaging.size() == 10
+            assert system.consistent()
 
     def test_populate_via_pbx_is_silent(self):
-        system = MetaComm(MetaCommConfig())
-        people = make_population(10)
-        assert populate_via_pbx(system, people) == 10
-        assert system.pbx().size() == 10
-        assert system.server.size() <= 2  # suffix + error container only
-        # Until a sync runs, the directory knows nothing.
-        report = system.sync.synchronize("definity")
-        assert report.added == 10
-        assert system.consistent()
+        with MetaComm(MetaCommConfig()) as system:
+            people = make_population(10)
+            assert populate_via_pbx(system, people) == 10
+            assert system.pbx().size() == 10
+            assert system.server.size() <= 2  # suffix + error container only
+            # Until a sync runs, the directory knows nothing.
+            report = system.sync.synchronize("definity")
+            assert report.added == 10
+            assert system.consistent()
 
 
 class TestUpdateStream:
@@ -100,12 +100,12 @@ class TestUpdateStream:
         assert repeats < 20
 
     def test_apply_stream_keeps_system_consistent(self):
-        system = MetaComm(MetaCommConfig())
-        people = make_population(10)
-        populate_via_ldap(system, people)
-        events = make_stream(people, 50, ddu_fraction=0.4, seed=11)
-        assert apply_stream(system, events) == 50
-        assert system.consistent()
+        with MetaComm(MetaCommConfig()) as system:
+            people = make_population(10)
+            populate_via_ldap(system, people)
+            events = make_stream(people, 50, ddu_fraction=0.4, seed=11)
+            assert apply_stream(system, events) == 50
+            assert system.consistent()
 
     def test_stream_deterministic(self):
         people = make_population(5)
