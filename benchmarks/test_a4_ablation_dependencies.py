@@ -11,7 +11,7 @@ import pytest
 from conftest import report
 
 from repro.lexpress import UpdateDescriptor, UpdateOp
-from repro.lexpress.mapping import CompiledMapping
+from repro.lexpress.mapping import CompiledMapping, CompiledRule
 from repro.schemas import standard_mappings
 
 ROWS: list[tuple] = []
@@ -44,12 +44,15 @@ def ablate_dependencies(mapping: CompiledMapping) -> CompiledMapping:
 
     class _FatRule:
         def __init__(self, rule):
+            self.rule = rule
             self.target = rule.target
-            self.code = rule.code
 
         @property
         def deps(self):
             return all_deps
+
+        def evaluate(self, attrs, value=None):
+            return self.rule.evaluate(attrs, value)
 
     clone.rules = tuple(_FatRule(r) for r in mapping.rules)
     return clone
@@ -58,27 +61,25 @@ def ablate_dependencies(mapping: CompiledMapping) -> CompiledMapping:
 COUNTER = {"evaluations": 0}
 
 
-def counting_run_rule(original_run_rule):
-    def wrapper(code, attrs, value=None, **kwargs):
+def counting_evaluate(original_evaluate):
+    def wrapper(rule, attrs, value=None):
         COUNTER["evaluations"] += 1
-        return original_run_rule(code, attrs, value, **kwargs)
+        return original_evaluate(rule, attrs, value)
 
     return wrapper
 
 
 @pytest.mark.parametrize("analysis", ["on", "off"])
 def test_a4_rule_evaluations(benchmark, analysis, monkeypatch):
-    import repro.lexpress.mapping as mapping_module
-
     mapping = standard_mappings()["pbx_to_ldap"]
     if analysis == "off":
         mapping = ablate_dependencies(mapping)
     descriptors = make_descriptors(60)
 
     COUNTER["evaluations"] = 0
-    # Every rule evaluation of a mapping goes through ``run_rule``.
+    # Every rule evaluation goes through ``CompiledRule.evaluate``.
     monkeypatch.setattr(
-        mapping_module, "run_rule", counting_run_rule(mapping_module.run_rule)
+        CompiledRule, "evaluate", counting_evaluate(CompiledRule.evaluate)
     )
 
     def run():

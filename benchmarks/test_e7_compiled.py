@@ -1,16 +1,17 @@
 """E7 (compiled tier) — interpreter vs compiled-closure rule evaluation.
 
 The compilation tier (docs/LEXPRESS_COMPILER.md) lowers verified lexpress
-byte code into plain Python closures served from the process-wide
-compiled-rule cache.  This benchmark measures the payoff on the E7
+byte code into plain Python closures, bound to each rule when its
+mapping compiles.  This benchmark measures the payoff on the E7
 steady-state workload: full target-schema ``image()`` evaluation of the
 standard ``pbx_to_ldap`` mapping — the exact computation the Update
-Manager's enrich/plan stages run per update — under each
-``lexpress_mode``.
+Manager's enrich/plan stages run per update — under three engines
+behind the rule entry point ``CompiledRule.evaluate``: the bound
+closures (production), the interpreter, and verify (both, compared).
 
 Asserts the headline speedup (compiled >= 2x over the interpreter), that
-verify mode completes the whole run with zero divergences, and writes
-the results to ``BENCH_e7.json``.  Run with::
+verify completes the whole run with zero divergences, and writes the
+results to ``BENCH_e7.json``.  Run with::
 
     make bench-e7
 """
@@ -21,7 +22,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.lexpress import rule_cache
+from repro.lexpress import CompiledRule, execute, rule_cache
 from repro.schemas import standard_mappings
 
 #: image() evaluations per measured run.
@@ -44,11 +45,29 @@ RECORD = {
 RESULTS_PATH = Path(__file__).resolve().parent.parent / "BENCH_e7.json"
 
 
-def _measure(mode: str | None) -> float:
-    """Best-of image() evaluations per second under *mode*."""
-    mapping = standard_mappings()["pbx_to_ldap"]
-    mapping.lexpress_mode = mode
-    expected = mapping.image(RECORD)  # warm the cache outside the timing
+_compiled = CompiledRule.evaluate
+
+
+def _interpret(rule, attrs, value=None):
+    return execute(rule.code, attrs, value, canonical=True)
+
+
+def _verify(rule, attrs, value=None):
+    compiled = _compiled(rule, attrs, value)
+    interpreted = _interpret(rule, attrs, value)
+    assert compiled == interpreted and type(compiled) is type(interpreted), (
+        f"divergence in {rule.code.name}: {interpreted!r} != {compiled!r}"
+    )
+    return interpreted
+
+
+ENGINES = {"interpret": _interpret, "compiled": _compiled, "verify": _verify}
+
+
+def _measure(mapping, mode: str, monkeypatch) -> float:
+    """Best-of image() evaluations per second under engine *mode*."""
+    monkeypatch.setattr(CompiledRule, "evaluate", ENGINES[mode])
+    expected = mapping.image(RECORD)  # warm up outside the timing
     best = 0.0
     for _ in range(REPEATS):
         start = time.perf_counter()
@@ -61,12 +80,10 @@ def _measure(mode: str | None) -> float:
 
 
 @pytest.mark.benchmarks
-def test_e7_compiled_vs_interpreter():
+def test_e7_compiled_vs_interpreter(monkeypatch):
     rule_cache().clear()
-    rates = {
-        mode or "interpret": _measure(mode)
-        for mode in (None, "compiled", "verify")
-    }
+    mapping = standard_mappings()["pbx_to_ldap"]
+    rates = {mode: _measure(mapping, mode, monkeypatch) for mode in ENGINES}
     speedup = rates["compiled"] / rates["interpret"]
     cache = rule_cache().stats()
 

@@ -56,7 +56,6 @@ def _fleet(lanes: int) -> MetaComm:
                 for i in range(CLIENTS)
             ],
             coordinator_lanes=lanes,
-            lexpress_mode="compiled",
         )
     )
     for pbx in system.pbxes.values():

@@ -64,7 +64,6 @@ def _fleet(messaging_latency: float = LINK_LATENCY) -> MetaComm:
     config = MetaCommConfig(
         pbxes=[PbxConfig(f"pbx-{i + 1}", (p,)) for i, p in enumerate(PREFIXES)],
         coordinator_lanes=LANES,
-        lexpress_mode="compiled",
     )
     system = MetaComm(config)
     for pbx in system.pbxes.values():

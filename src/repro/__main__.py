@@ -28,14 +28,6 @@ over the runtime source instead (lock-order inversions, blocking calls
 under locks, guarded-field races — docs/CONCURRENCY.md); with ``--json``
 the document carries the acquisition-order graph under ``lock_order``.
 
-``stats`` usage::
-
-    python -m repro stats [--lexpress=interpret|compiled|verify]
-
-``--lexpress`` selects the rule execution engine for the workload
-(docs/LEXPRESS_COMPILER.md); ``compiled`` and ``verify`` add a
-``#``-prefixed compiled-rule-cache section ahead of the metrics.
-
 ``monitor`` usage::
 
     python -m repro monitor [--json] [--watch] [--interval=0.5] [--cycles=N]
@@ -244,20 +236,15 @@ def cmd_check(args: list[str]) -> int:
     return 1 if failed else 0
 
 
-def _demo_system(
-    lanes: int = 1,
-    lexpress_mode: str = "interpret",
-    lock_witness: bool = False,
-):
+def _demo_system(lanes: int = 1, lock_witness: bool = False):
     """The stats/monitor/events demo workload: one LDAP add (fan-out to
     PBX + messaging) and one DDU (craft-terminal room change).
 
     ``lanes`` > 1 runs the workload through the commutativity-sharded
     queue (docs/CONCURRENCY.md) so the per-lane monitor section has
-    real lanes to show.  ``lexpress_mode`` selects the rule execution
-    engine (docs/LEXPRESS_COMPILER.md).  ``lock_witness`` wraps the
-    subsystem locks in order-recording proxies so any acquisition-order
-    reversal during the workload lands in the journal.
+    real lanes to show.  ``lock_witness`` wraps the subsystem locks in
+    order-recording proxies so any acquisition-order reversal during the
+    workload lands in the journal.
     """
     from repro.core import MetaComm, MetaCommConfig
     from repro.schemas import PERSON_CLASSES
@@ -266,7 +253,6 @@ def _demo_system(
         MetaCommConfig(
             organizations=("Marketing",),
             coordinator_lanes=lanes,
-            lexpress_mode=lexpress_mode,
             lock_witness=lock_witness,
         )
     )
@@ -291,31 +277,16 @@ def cmd_stats(args: list[str]) -> int:
     trace summaries are emitted as ``#``-prefixed comment lines, so the
     whole thing can be piped straight into a scrape file.
     """
-    from repro.lexpress import MODES, rule_cache
+    if args:
+        print(f"stats: unknown option {args[0]!r}", file=sys.stderr)
+        return 2
 
-    mode = "interpret"
-    for arg in args:
-        if arg.startswith("--lexpress="):
-            mode = arg.split("=", 1)[1]
-            if mode not in MODES:
-                print(f"stats: bad --lexpress value {mode!r} "
-                      f"(expected one of {', '.join(MODES)})", file=sys.stderr)
-                return 2
-        else:
-            print(f"stats: unknown option {arg!r}", file=sys.stderr)
-            return 2
-
-    system = _demo_system(lexpress_mode=mode)
+    system = _demo_system()
     # Flush before dumping: close any trace still open (so the export
     # never shows dangling in-flight spans) and release the background
     # machinery — the workload is done, the dump must be self-consistent.
     system.close()
     system.obs.tracer.finish_open()
-
-    if mode != "interpret":
-        cache = rule_cache().stats()
-        pairs = " ".join(f"{key}={cache[key]}" for key in sorted(cache))
-        print(f"# lexpress compiled rule cache ({mode} mode): {pairs}")
     for trace in system.traces():
         spans = ", ".join(
             f"{span.name}={span.duration * 1e6:.0f}us" for span in trace.spans

@@ -27,7 +27,6 @@ from ..ldap.client import LdapConnection
 from ..ldap.dn import DN
 from ..ldap.entry import Entry
 from ..ldap.server import LdapServer
-from .. import lexpress
 from ..lexpress.partition import PartitionConstraint
 from ..ltap.gateway import LtapGateway
 from ..obs import (
@@ -119,12 +118,6 @@ class MetaCommConfig:
     #: analyzer costs a few closure probes per boot and most tests build
     #: throwaway configurations.
     strict_analysis: bool = False
-    #: Execution engine for lexpress rule evaluation
-    #: (docs/LEXPRESS_COMPILER.md): "interpret" (default) runs the
-    #: byte-code interpreter, "compiled" serves verifier-gated Python
-    #: closures from the process-wide rule cache, "verify" runs both and
-    #: raises LexpressDivergenceError on any disagreement.
-    lexpress_mode: str = "interpret"
     #: Wrap this system's subsystem locks in order-recording witness
     #: proxies (repro.obs.lockwitness): every acquisition pair is checked
     #: against the static LX5xx lock-order graph and reversals are
@@ -179,23 +172,17 @@ class MetaComm:
         )
         self.error_log = ErrorLog(self.server, suffix)
         self.mappings = standard_mappings(self.config.phone_prefix)
-
-        mode = self.config.lexpress_mode
-        if mode not in lexpress.MODES:
-            raise ValueError(
-                f"lexpress_mode must be one of {', '.join(lexpress.MODES)}; "
-                f"got {mode!r}"
-            )
-        self._lexpress_listener = None
-        if mode != "interpret":
-            for mapping in self.mappings.values():
-                mapping.lexpress_mode = mode
-
-            def _on_compile(event: dict, _journal=self.obs.journal) -> None:
-                _journal.emit(LEXPRESS_COMPILED, **event)
-
-            self._lexpress_listener = _on_compile
-            lexpress.rule_cache().subscribe(_on_compile)
+        # Every rule was lowered (or rejected) when its mapping compiled
+        # (docs/LEXPRESS_COMPILER.md); journal the bound engine per rule.
+        for mapping in self.mappings.values():
+            for rule in mapping.rules:
+                self.obs.journal.emit(
+                    LEXPRESS_COMPILED,
+                    mapping=mapping.name,
+                    attribute=rule.target,
+                    status="rejected" if rule.closure is None else "compiled",
+                    fingerprint=rule.code.fingerprint()[:12],
+                )
 
         people_container = (
             DN.parse(self.config.people_container)
@@ -379,9 +366,6 @@ class MetaComm:
         # After the UM: coordinator lanes may still be draining work
         # through the links, and stop() fails any orphaned futures.
         self.links.stop()
-        if self._lexpress_listener is not None:
-            lexpress.rule_cache().unsubscribe(self._lexpress_listener)
-            self._lexpress_listener = None
 
     def __enter__(self) -> "MetaComm":
         return self

@@ -9,7 +9,10 @@ internal, reference [23].)
 
 Pipeline: source text → :func:`~repro.lexpress.parser.parse` (AST) →
 :func:`~repro.lexpress.compiler.compile_expr` (byte code) →
-:func:`~repro.lexpress.interpreter.execute`.  The user-facing entry
+:func:`~repro.lexpress.codegen.compile_closure` (a verified Python
+closure per rule, bound when the mapping is compiled), with
+:func:`~repro.lexpress.interpreter.execute` as the reference semantics
+and the fallback for code the verifier rejects.  The user-facing entry
 points are :func:`compile_description` / :func:`compile_mapping`, the
 :class:`ClosureEngine` for cross-repository propagation, and
 :class:`MappingSetBuilder` for generating both directions of a pair.
@@ -27,12 +30,10 @@ from .closure import (
     dependency_graph,
 )
 from .codegen import (
-    MODES,
     CompiledClosure,
     CompiledRuleCache,
     compile_closure,
     rule_cache,
-    run_rule,
 )
 from .compiler import compile_expr, optimize_expr
 from .descriptor import (
@@ -46,7 +47,6 @@ from .errors import (
     CyclicDependencyError,
     FixpointError,
     LexpressCompileError,
-    LexpressDivergenceError,
     LexpressError,
     LexpressRuntimeError,
     LexpressSyntaxError,
@@ -70,13 +70,12 @@ __all__ = [
     "CompiledClosure", "CompiledMapping", "CompiledRule",
     "CompiledRuleCache", "Conflict", "CycleReport",
     "CyclicDependencyError", "FixpointError", "Instruction",
-    "LexpressCompileError", "LexpressDivergenceError", "LexpressError",
-    "LexpressRuntimeError", "LexpressSyntaxError", "MODES",
-    "MappingInstance", "MappingSetBuilder", "Op",
+    "LexpressCompileError", "LexpressError", "LexpressRuntimeError",
+    "LexpressSyntaxError", "MappingInstance", "MappingSetBuilder", "Op",
     "PartitionConstraint", "Span", "TargetAction", "TargetUpdate", "Token",
     "TokenType", "UpdateDescriptor", "UpdateOp", "analyze_cycles",
     "check_cycles", "compile_closure", "compile_description",
     "compile_expr", "compile_mapping", "dependency_graph", "execute",
     "known_functions", "lower_attrs", "normalize_attrs", "optimize_expr",
-    "parse", "route", "rule_cache", "run_rule", "tokenize", "truthy",
+    "parse", "route", "rule_cache", "tokenize", "truthy",
 ]

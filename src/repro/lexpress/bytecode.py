@@ -120,10 +120,8 @@ class CodeObject:
     def fingerprint(self) -> str:
         """Stable content hash of the instruction stream and constant pool.
 
-        The compiled-rule cache (:mod:`repro.lexpress.codegen`) keys its
-        entries by ``(mapping, attribute, fingerprint)``: recompiling a
-        description — or mutating a code object in place — changes the
-        fingerprint and invalidates the cached closure."""
+        The compile memo (:mod:`repro.lexpress.codegen`) keys lowered
+        closures by it, so equal byte code compiles once per process."""
         cached = self._fingerprint
         if cached is not None:
             return cached

@@ -38,26 +38,7 @@ import networkx as nx
 
 from .descriptor import normalize_attrs
 from .errors import CyclicDependencyError, FixpointError
-from .interpreter import execute
 from .mapping import CompiledMapping, CompiledRule, _as_values
-
-
-def _rule_values(
-    mapping: CompiledMapping | None,
-    rule: CompiledRule,
-    attrs: Mapping[str, Sequence[str]],
-    *,
-    canonical: bool = False,
-) -> list[str] | None:
-    """Evaluate one rule to normalized attribute values.
-
-    The single entry point for every rule evaluation in this module:
-    with a mapping, the evaluation honors its ``lexpress_mode`` (serving
-    compiled closures from the process cache); without one (compile-time
-    probes), it runs the plain interpreter."""
-    if mapping is None:
-        return _as_values(execute(rule.code, attrs, canonical=canonical))
-    return mapping.evaluate(rule, attrs, canonical=canonical)
 
 
 @dataclass
@@ -183,9 +164,7 @@ class ClosureEngine:
                     attr = rule.target.lower()
                     if attr in target_frozen:
                         continue  # first-win / explicit protection
-                    values = _rule_values(
-                        mapping, rule, source_image, canonical=True
-                    )
+                    values = _as_values(rule.evaluate(source_image))
                     if values is None:
                         continue
                     current = target_image.get(attr)
@@ -233,9 +212,7 @@ class ClosureEngine:
                     continue
                 if not (rule.deps & source_image.keys()):
                     continue
-                values = _rule_values(
-                    mapping, rule, source_image, canonical=True
-                )
+                values = _as_values(rule.evaluate(source_image))
                 if values is None:
                     continue
                 current = target_image.get(attr)
@@ -300,9 +277,8 @@ def dependency_graph(mappings: Iterable[CompiledMapping]) -> "nx.DiGraph":
 
 
 def _apply_rule(rule: CompiledRule, dep: str, value: str) -> str | None:
-    # Compile-time probing: no mapping mode in play, plain interpretation
-    # (``dep`` comes from rule.deps and is already lower-cased).
-    values = _rule_values(None, rule, {dep: [value]}, canonical=True)
+    # ``dep`` comes from rule.deps and is already lower-cased.
+    values = _as_values(rule.evaluate({dep: [value]}))
     return values[0] if values else None
 
 

@@ -23,14 +23,13 @@ Safety: closures are only produced for code that passes the lexcheck
 byte-code verifier (:func:`repro.analysis.verifier.verify_code`) with no
 errors — the same gate that makes programmatically built code safe to
 interpret makes it safe to lower.  Rejected or uncompilable code falls
-back to the interpreter silently.  ``lexpress_mode="verify"`` runs both
-engines and raises :class:`~repro.lexpress.errors.LexpressDivergenceError`
-(with the rule's source span) on any disagreement.
+back to the interpreter.
 
-The process-wide :class:`CompiledRuleCache` (see :func:`rule_cache`)
-keys closures by ``(mapping, attribute)`` and validates entries against
-:meth:`CodeObject.fingerprint`, so recompiling a description naturally
-invalidates stale closures.
+Each :class:`~repro.lexpress.mapping.CompiledRule` is lowered once, when
+its mapping is compiled, and keeps the result; the process-wide
+:class:`CompiledRuleCache` (see :func:`rule_cache`) memoizes lowering by
+:meth:`CodeObject.fingerprint`, so a rule shared by several mappings or
+systems is verified and compiled once per process.
 """
 
 from __future__ import annotations
@@ -42,27 +41,13 @@ from typing import Any, Callable, Mapping, Sequence
 
 from ..obs.metrics import global_registry
 from .bytecode import CodeObject, Op
-from .errors import (
-    LexpressDivergenceError,
-    LexpressRuntimeError,
-)
+from .errors import LexpressRuntimeError
 from .functions import lookup
-from .interpreter import _equal, execute, lower_attrs, truthy
+from .interpreter import _equal, truthy
 
 Value = Any  # None | str | bool | list[str]
 
-#: The three values of ``MetaCommConfig.lexpress_mode``.
-MODES = ("interpret", "compiled", "verify")
-
 _registry = global_registry()
-_HITS = _registry.counter(
-    "metacomm_lexpress_cache_hits_total",
-    "Compiled-rule cache lookups served by an existing closure",
-)
-_MISSES = _registry.counter(
-    "metacomm_lexpress_cache_misses_total",
-    "Compiled-rule cache lookups that triggered a (re)compile",
-)
 _COMPILES = _registry.counter(
     "metacomm_lexpress_compiles_total",
     "Byte-code objects lowered to Python closures",
@@ -76,11 +61,6 @@ _FALLBACKS = _registry.counter(
     "Code objects the verifier gate (or codegen) rejected; served "
     "by the interpreter instead",
 )
-_DIVERGENCES = _registry.counter(
-    "metacomm_lexpress_divergences_total",
-    "verify-mode evaluations where the closure disagreed with the "
-    "interpreter",
-)
 
 
 # ---------------------------------------------------------------------------
@@ -93,9 +73,9 @@ class _CFrame:
 
     __slots__ = ("groups", "value")
 
-    def __init__(self):
+    def __init__(self, value: Value = None):
         self.groups: Sequence[str | None] = ()
-        self.value: Value = None
+        self.value: Value = value
 
 
 class _Miss:
@@ -421,8 +401,8 @@ def compile_closure(code: CodeObject, name: str | None = None) -> CompiledClosur
 
     Raises :class:`LexpressRuntimeError` for code that cannot be lowered
     (empty sentinels, unknown opcodes).  Callers wanting the safety gate
-    should go through :class:`CompiledRuleCache`, which verifies first and
-    falls back to the interpreter on rejection."""
+    should go through :func:`verified_compile` (or the memo in front of
+    it, :class:`CompiledRuleCache`), which verifies first."""
     emitter = _ClosureEmitter(code)
     source, namespace = emitter.emit()
     label = name or code.name or "<lexpress>"
@@ -457,25 +437,23 @@ def verified_compile(
 
 
 # ---------------------------------------------------------------------------
-# The process-wide compiled-rule cache
+# The process-wide compile memo
 # ---------------------------------------------------------------------------
 
 
 class CompiledRuleCache:
-    """Thread-safe cache of lowered rules, keyed by (mapping, attribute).
+    """Thread-safe memo of lowered rules, keyed by code fingerprint.
 
-    Entries carry the source code object's fingerprint; a lookup with a
-    different fingerprint (a recompiled description, a patched code
-    object) recompiles and replaces the entry, so invalidation is
-    automatic.  ``None`` closures record verifier rejections — those keys
-    are served by the interpreter without re-verifying every call."""
+    Consulted once per rule when a mapping is compiled, never per
+    evaluation.  Equal byte code (the same rule in two mappings, two
+    systems, or a recompiled description) shares one closure; changed
+    byte code has a new fingerprint and compiles afresh.  ``None``
+    entries record verifier rejections, so rejected code is verified
+    once too."""
 
     def __init__(self):
         self._lock = threading.Lock()
-        self._entries: dict[
-            tuple[str, str], tuple[str, CompiledClosure | None]
-        ] = {}
-        self._listeners: tuple[Callable[[dict], None], ...] = ()
+        self._entries: dict[str, CompiledClosure | None] = {}
         self.hits = 0
         self.misses = 0
         self.compiles = 0
@@ -483,62 +461,33 @@ class CompiledRuleCache:
         self.compile_seconds = 0.0
 
     def get_or_compile(
-        self, mapping: str, attribute: str, code: CodeObject
+        self, code: CodeObject, mapping: str = "", attribute: str | None = None
     ) -> CompiledClosure | None:
-        key = (mapping, attribute)
+        """The closure for *code* (None when the verifier rejects it);
+        *mapping* and *attribute* only label diagnostics and tracebacks."""
         fingerprint = code.fingerprint()
         with self._lock:
-            entry = self._entries.get(key)
-            if entry is not None and entry[0] == fingerprint:
+            if fingerprint in self._entries:
                 self.hits += 1
-                _HITS.inc()
-                return entry[1]
+                return self._entries[fingerprint]
             self.misses += 1
-        _MISSES.inc()
 
         started = time.perf_counter()
         closure = verified_compile(code, mapping, attribute)
         elapsed = time.perf_counter() - started
         with self._lock:
-            self._entries[key] = (fingerprint, closure)
+            self._entries[fingerprint] = closure
             self.compile_seconds += elapsed
             if closure is None:
                 self.rejected += 1
             else:
                 self.compiles += 1
-            listeners = self._listeners
         _COMPILE_SECONDS.inc(elapsed)
         if closure is None:
             _FALLBACKS.inc()
         else:
             _COMPILES.inc()
-        event = {
-            "mapping": mapping,
-            "attribute": attribute,
-            "status": "compiled" if closure is not None else "rejected",
-            "seconds": elapsed,
-            "fingerprint": fingerprint[:12],
-        }
-        for listener in listeners:
-            try:
-                listener(event)
-            except Exception:  # pragma: no cover - listeners are best-effort
-                pass
         return closure
-
-    # -- observability -------------------------------------------------------
-
-    def subscribe(self, listener: Callable[[dict], None]) -> None:
-        """Call *listener* with an event dict after every (re)compile."""
-        with self._lock:
-            if listener not in self._listeners:
-                self._listeners = self._listeners + (listener,)
-
-    def unsubscribe(self, listener: Callable[[dict], None]) -> None:
-        with self._lock:
-            self._listeners = tuple(
-                entry for entry in self._listeners if entry is not listener
-            )
 
     def stats(self) -> dict[str, float]:
         with self._lock:
@@ -566,75 +515,5 @@ _CACHE = CompiledRuleCache()
 
 
 def rule_cache() -> CompiledRuleCache:
-    """The process-wide compiled-rule cache."""
+    """The process-wide compile memo."""
     return _CACHE
-
-
-# ---------------------------------------------------------------------------
-# Mode dispatch
-# ---------------------------------------------------------------------------
-
-_TLS = threading.local()
-
-
-def _frame() -> _CFrame:
-    frame = getattr(_TLS, "frame", None)
-    if frame is None:
-        frame = _TLS.frame = _CFrame()
-    return frame
-
-
-def run_rule(
-    code: CodeObject,
-    attrs: Mapping[str, Sequence[str]],
-    value: Value = None,
-    *,
-    mapping: str = "",
-    attribute: str = "",
-    mode: str | None = None,
-    canonical: bool = False,
-) -> Value:
-    """Evaluate one rule under *mode* (None or "interpret" = interpreter).
-
-    The drop-in replacement for :func:`execute` on the mapping/closure
-    hot paths: "compiled" serves the evaluation from the process cache
-    (falling back to the interpreter when the verifier rejected the
-    code), "verify" runs both engines and raises
-    :class:`LexpressDivergenceError` on disagreement."""
-    if mode is None or mode == "interpret":
-        return execute(code, attrs, value, canonical=canonical)
-
-    closure = _CACHE.get_or_compile(mapping, attribute, code)
-    if closure is None:
-        return execute(code, attrs, value, canonical=canonical)
-
-    if not canonical:
-        attrs = lower_attrs(attrs)
-    if mode == "compiled":
-        frame = _frame()
-        frame.groups = ()
-        frame.value = value
-        return closure.fn(attrs, frame)
-
-    if mode == "verify":
-        interpreted = execute(code, attrs, value, canonical=True)
-        frame = _frame()
-        frame.groups = ()
-        frame.value = value
-        compiled_value = closure.fn(attrs, frame)
-        if interpreted != compiled_value or type(interpreted) is not type(
-            compiled_value
-        ):
-            _DIVERGENCES.inc()
-            raise LexpressDivergenceError(
-                mapping,
-                attribute,
-                interpreted,
-                compiled_value,
-                span=code.span,
-            )
-        return interpreted
-
-    raise ValueError(
-        f"unknown lexpress_mode {mode!r} (expected one of {', '.join(MODES)})"
-    )

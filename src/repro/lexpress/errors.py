@@ -25,31 +25,6 @@ class LexpressRuntimeError(LexpressError):
     """Bytecode execution failed."""
 
 
-class LexpressDivergenceError(LexpressRuntimeError):
-    """``lexpress_mode="verify"`` found the compiled closure disagreeing
-    with the reference interpreter for one rule evaluation."""
-
-    def __init__(
-        self,
-        mapping: str,
-        attribute: str,
-        interpreted,
-        compiled,
-        span=None,
-    ):
-        where = f" (source {span})" if span is not None else ""
-        super().__init__(
-            f"divergence in mapping {mapping!r}, attribute {attribute!r}"
-            f"{where}: interpreter produced {interpreted!r}, "
-            f"compiled closure produced {compiled!r}"
-        )
-        self.mapping = mapping
-        self.attribute = attribute
-        self.interpreted = interpreted
-        self.compiled = compiled
-        self.span = span
-
-
 class FixpointError(LexpressRuntimeError):
     """A cyclic dependency failed to reach a fixpoint at execution time
     (the enhancement discussed at the end of paper section 4.2)."""

@@ -7,8 +7,9 @@ called from any program" of paper section 4.2.
 
 This module is the reference semantics: the closure compiler
 (:mod:`repro.lexpress.codegen`) must produce byte-for-byte identical
-values, and ``lexpress_mode="verify"`` runs both engines and asserts it.
-The hot path is kept honest for that comparison — frames come from a
+values, and the test suite's verify fixture runs both engines on every
+evaluation and asserts it.  The interpreter also runs any rule whose
+code the verifier gate rejected.  Its hot path stays lean — frames come from a
 per-thread pool instead of being allocated per call, attribute-name
 lowering is hoisted to :meth:`CodeObject.attr_keys`, and callers that
 already hold a canonical (lower-keyed) record pass ``canonical=True`` to

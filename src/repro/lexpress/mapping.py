@@ -18,8 +18,8 @@ own partition constraint) — the reuse story of section 4.1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+from dataclasses import dataclass, field
+from typing import Any, Mapping, Sequence
 
 from .ast import AttrRef, MappingDecl, Span
 from .bytecode import CodeObject
@@ -31,9 +31,9 @@ from .descriptor import (
     UpdateOp,
     normalize_attrs,
 )
-from .codegen import run_rule
+from .codegen import CompiledClosure, _CFrame, rule_cache
 from .errors import LexpressCompileError
-from .interpreter import lower_attrs
+from .interpreter import execute, lower_attrs
 from .parser import parse
 from .partition import AlwaysTrue, PartitionConstraint, route
 
@@ -46,10 +46,31 @@ class CompiledRule:
     code: CodeObject
     #: Source position of the ``map`` statement (None for synthesized rules).
     span: "Span | None" = None
+    #: The verified Python closure bound when the mapping was compiled;
+    #: None when the verifier rejected the code (the interpreter runs it).
+    closure: CompiledClosure | None = field(
+        default=None, repr=False, compare=False
+    )
 
     @property
     def deps(self) -> frozenset[str]:
         return self.code.deps
+
+    def evaluate(self, attrs: Mapping[str, Sequence[str]], value: Any = None):
+        """Evaluate the rule against canonical (lower-keyed) *attrs*.
+
+        The single rule-evaluation entry point: runs the bound closure,
+        or the interpreter when there is none."""
+        closure = self.closure
+        if closure is None:
+            return execute(self.code, attrs, value, canonical=True)
+        return closure.fn(attrs, _CFrame(value))
+
+
+def _bind(mapping: str, target: str, code: CodeObject, span) -> CompiledRule:
+    """A rule with its closure from the process-wide compile memo."""
+    closure = rule_cache().get_or_compile(code, mapping, target)
+    return CompiledRule(target, code, span, closure)
 
 
 def _as_values(result) -> list[str] | None:
@@ -78,18 +99,13 @@ class CompiledMapping:
         #: analysis (span resolution and inline suppression comments).
         self.decl = decl
         self.source_text: str | None = None
-        #: Execution engine for this mapping's rules: None/"interpret"
-        #: runs the byte-code interpreter, "compiled" serves closures from
-        #: the process-wide cache, "verify" runs both and raises on any
-        #: disagreement.  Set per MetaComm system from
-        #: ``MetaCommConfig.lexpress_mode``.
-        self.lexpress_mode: str | None = None
 
         rules = [
-            CompiledRule(
+            _bind(
+                decl.name,
                 r.target,
                 compile_expr(r.expr, f"{decl.name}.{r.target}"),
-                span=r.span,
+                r.span,
             )
             for r in decl.rules
         ]
@@ -103,12 +119,13 @@ class CompiledMapping:
                 )
             rules.insert(
                 0,
-                CompiledRule(
+                _bind(
+                    decl.name,
                     self.key_target,
                     compile_expr(
                         AttrRef(self.key_source), f"{decl.name}.{self.key_target}"
                     ),
-                    span=decl.span,
+                    decl.span,
                 ),
             )
         self.rules: tuple[CompiledRule, ...] = tuple(rules)
@@ -140,27 +157,6 @@ class CompiledMapping:
 
     # -- evaluation ------------------------------------------------------------
 
-    def evaluate(
-        self,
-        rule: CompiledRule,
-        attrs: Mapping[str, Sequence[str]],
-        value=None,
-        *,
-        canonical: bool = False,
-    ) -> list[str] | None:
-        """Evaluate one rule under this mapping's engine mode."""
-        return _as_values(
-            run_rule(
-                rule.code,
-                attrs,
-                value,
-                mapping=self.name,
-                attribute=rule.target,
-                mode=self.lexpress_mode,
-                canonical=canonical,
-            )
-        )
-
     def image(
         self, attrs: Mapping[str, Sequence[str]] | None
     ) -> dict[str, list[str]] | None:
@@ -171,7 +167,7 @@ class CompiledMapping:
         low = lower_attrs(attrs)
         out: dict[str, list[str]] = {}
         for rule in self.rules:
-            values = self.evaluate(rule, low, canonical=True)
+            values = _as_values(rule.evaluate(low))
             if values is not None:
                 out[rule.target] = values
         self._key_fallback(out, attrs)
@@ -210,9 +206,9 @@ class CompiledMapping:
         old_image: dict[str, list[str]] = {}
         new_image: dict[str, list[str]] = {}
         for rule in self.rules:
-            old_values = self.evaluate(rule, old_low, canonical=True)
+            old_values = _as_values(rule.evaluate(old_low))
             if rule.deps & changed:
-                new_values = self.evaluate(rule, new_low, canonical=True)
+                new_values = _as_values(rule.evaluate(new_low))
             else:
                 new_values = list(old_values) if old_values is not None else None
             if old_values is not None:

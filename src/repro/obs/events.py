@@ -110,9 +110,10 @@ AUDIT_MISMATCH = "audit.mismatch"
 ALERT_RAISED = "alert.raised"
 #: A previously firing alert's condition went away.
 ALERT_CLEARED = "alert.cleared"
-#: A lexpress rule was lowered to a Python closure (or rejected by the
-#: verifier gate) — emitted per (mapping, attribute) compile, carrying
-#: ``status`` (compiled/rejected), ``seconds`` and the code fingerprint.
+#: A lexpress rule's bound engine, journaled per (mapping, attribute)
+#: when a MetaComm system boots: ``status`` is "compiled" (a verified
+#: Python closure) or "rejected" (the interpreter runs it), plus the
+#: code fingerprint prefix.
 LEXPRESS_COMPILED = "lexpress.compiled"
 #: The runtime lock witness observed an acquisition order that reverses
 #: an already-recorded (or statically derived) pair — carries both lock

@@ -79,27 +79,15 @@ class TestCli:
         assert all(line.endswith("us]") for line in trace_lines)
         assert not any("[open]" in line for line in trace_lines)
 
-    def test_stats_lexpress_compiled_adds_cache_section(self, capsys):
-        assert main(["stats", "--lexpress=compiled"]) == 0
-        out = capsys.readouterr().out
-        cache_lines = [
-            line for line in out.splitlines()
-            if line.startswith("# lexpress compiled rule cache")
-        ]
-        assert len(cache_lines) == 1
-        assert "compiles=" in cache_lines[0]
-        # The output stays valid Prometheus text end to end.
-        for line in out.splitlines():
-            assert line.startswith("#") or line[0].isalpha()
-
     def test_stats_default_mode_has_no_cache_section(self, capsys):
         assert main(["stats"]) == 0
         out = capsys.readouterr().out
         assert "lexpress compiled rule cache" not in out
 
     def test_stats_bad_lexpress_mode_is_exit_2(self, capsys):
+        # The engine is not selectable: any --lexpress is unknown.
         assert main(["stats", "--lexpress=bogus"]) == 2
-        assert "interpret, compiled, verify" in capsys.readouterr().err
+        assert "unknown option '--lexpress=bogus'" in capsys.readouterr().err
 
     def test_stats_unknown_option_is_exit_2(self, capsys):
         assert main(["stats", "--bogus"]) == 2
@@ -214,7 +202,9 @@ class TestEventsCommand:
         lines = capsys.readouterr().out.strip().splitlines()
         events = [json.loads(line) for line in lines]
         assert all("kind" in e and "seq" in e for e in events)
-        assert events[0]["kind"] == "update.accepted"
+        # Boot journals each rule's bound engine before the workload.
+        boot = [e for e in events if e["kind"] == "lexpress.compiled"]
+        assert events[len(boot)]["kind"] == "update.accepted"
 
     def test_limit(self, capsys):
         assert main(["events", "--limit=3"]) == 0

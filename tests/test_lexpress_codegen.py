@@ -1,22 +1,24 @@
 """Tests for the lexpress compilation tier: the constant-folding /
-dead-branch optimizer, closure code generation, the process-wide
-compiled-rule cache, ``run_rule`` mode dispatch, and the MetaComm
-``lexpress_mode`` wiring (docs/LEXPRESS_COMPILER.md)."""
+dead-branch optimizer, closure code generation, the process-wide compile
+memo, rule closures bound when a mapping compiles, and the MetaComm
+wiring (docs/LEXPRESS_COMPILER.md)."""
+
+import dataclasses
 
 import pytest
 
 from repro.lexpress import (
     CodeObject,
+    CompiledRule,
     LexpressCompileError,
-    LexpressDivergenceError,
     LexpressRuntimeError,
     Op,
     compile_closure,
     compile_expr,
+    compile_mapping,
     execute,
     lower_attrs,
     rule_cache,
-    run_rule,
     tokenize,
 )
 from repro.lexpress.codegen import (
@@ -211,15 +213,15 @@ class TestVerifiedCompile:
         assert verified_compile(broken_code(), "m", "a") is None
 
 
-# -- the compiled-rule cache -------------------------------------------------
+# -- the compile memo --------------------------------------------------------
 
 
 class TestCompiledRuleCache:
     def test_miss_then_hit(self):
         cache = CompiledRuleCache()
-        code = expr_code('upper(Name)')
-        first = cache.get_or_compile("m", "a", code)
-        second = cache.get_or_compile("m", "a", code)
+        first = cache.get_or_compile(expr_code('upper(Name)'), "m", "a")
+        # Equal byte code from another rule shares the closure.
+        second = cache.get_or_compile(expr_code('upper(Name)'), "n", "b")
         assert first is second
         stats = cache.stats()
         assert stats["misses"] == 1 and stats["hits"] == 1
@@ -227,98 +229,66 @@ class TestCompiledRuleCache:
 
     def test_recompiling_a_rule_invalidates_the_entry(self):
         cache = CompiledRuleCache()
-        old = expr_code('upper(Name)')
-        stale = cache.get_or_compile("m", "a", old)
-        # The description was recompiled: same key, different byte code.
+        stale = cache.get_or_compile(expr_code('upper(Name)'), "m", "a")
+        # The description was recompiled: same rule, different byte code.
         new = expr_code('lower(Name)')
-        fresh = cache.get_or_compile("m", "a", new)
+        fresh = cache.get_or_compile(new, "m", "a")
         assert fresh is not stale
         assert fresh.fingerprint == new.fingerprint() != stale.fingerprint
-        stats = cache.stats()
-        assert stats["entries"] == 1 and stats["compiles"] == 2
+        assert cache.stats()["compiles"] == 2
         frame = _CFrame()
         assert fresh.fn(lower_attrs({"Name": ["Ab"]}), frame) == "ab"
 
     def test_rejections_are_cached_and_served_without_reverifying(self):
         cache = CompiledRuleCache()
         code = broken_code()
-        assert cache.get_or_compile("m", "a", code) is None
-        assert cache.get_or_compile("m", "a", code) is None
+        assert cache.get_or_compile(code, "m", "a") is None
+        assert cache.get_or_compile(code, "m", "a") is None
         stats = cache.stats()
         assert stats["rejected"] == 1 and stats["hits"] == 1
 
-    def test_listeners_see_every_compile_outcome(self):
-        cache = CompiledRuleCache()
-        events = []
-        cache.subscribe(events.append)
-        cache.get_or_compile("m", "good", expr_code('upper(Name)'))
-        cache.get_or_compile("m", "good", expr_code('upper(Name)'))  # hit
-        cache.get_or_compile("m", "bad", broken_code())
-        assert [(e["attribute"], e["status"]) for e in events] == [
-            ("good", "compiled"),
-            ("bad", "rejected"),
-        ]
-        assert all(e["mapping"] == "m" and "fingerprint" in e for e in events)
-        cache.unsubscribe(events.append)
-
-    def test_unsubscribed_listeners_go_quiet(self):
-        cache = CompiledRuleCache()
-        events = []
-        listener = events.append
-        cache.subscribe(listener)
-        cache.unsubscribe(listener)
-        cache.get_or_compile("m", "a", expr_code('upper(Name)'))
-        assert events == []
-
     def test_clear_resets_entries_and_counters(self):
         cache = CompiledRuleCache()
-        cache.get_or_compile("m", "a", expr_code('upper(Name)'))
+        cache.get_or_compile(expr_code('upper(Name)'), "m", "a")
         cache.clear()
         assert len(cache) == 0
         assert cache.stats()["misses"] == 0
 
 
-# -- run_rule mode dispatch --------------------------------------------------
+# -- rule evaluation ---------------------------------------------------------
 
-
-@pytest.fixture
-def fresh_cache(monkeypatch):
-    cache = CompiledRuleCache()
-    monkeypatch.setattr("repro.lexpress.codegen._CACHE", cache)
-    return cache
+MAPPING = """
+mapping pbx_to_x {
+    source pbx;
+    target x;
+    key Extension -> id;
+    map cn = concat(upper(Name), "-", Room);
+}
+"""
 
 
 class TestRunRule:
-    def test_default_mode_is_plain_interpretation(self, fresh_cache):
-        code = expr_code('upper(Name)')
-        assert run_rule(code, {"Name": ["ab"]}) == "AB"
-        assert len(fresh_cache) == 0
+    """Running a rule: ``CompiledRule.evaluate`` is the only entry point."""
 
-    def test_compiled_mode_serves_the_cache(self, fresh_cache):
-        code = expr_code('concat(upper(Name), "-", Room)')
-        attrs = {"Name": ["ab"], "Room": ["2B"]}
-        result = run_rule(
-            code, attrs, mapping="m", attribute="a", mode="compiled"
-        )
-        assert result == execute(code, attrs)
-        assert fresh_cache.stats()["compiles"] == 1
+    def test_compiled_mode_serves_the_cache(self):
+        rule = compile_mapping(MAPPING).rules[-1]
+        assert rule.closure is rule_cache().get_or_compile(rule.code)
+        attrs = lower_attrs({"Name": ["ab"], "Room": ["2B"]})
+        assert rule.evaluate(attrs) == execute(rule.code, attrs) == "AB-2B"
 
-    def test_compiled_mode_falls_back_on_rejected_code(self, fresh_cache):
+    def test_compiled_mode_falls_back_on_rejected_code(self):
         code = broken_code()
-        result = run_rule(
-            code, {}, mapping="m", attribute="a", mode="compiled"
-        )
-        assert result == execute(code, {}) == "b"
-        assert fresh_cache.stats()["rejected"] == 1
+        rule = CompiledRule("a", code, closure=verified_compile(code))
+        assert rule.closure is None
+        assert rule.evaluate({}) == execute(code, {}) == "b"
 
-    def test_verify_mode_agrees_on_honest_closures(self, fresh_cache):
-        code = expr_code('upper(Name)')
-        result = run_rule(
-            code, {"Name": ["ab"]}, mapping="m", attribute="a", mode="verify"
-        )
-        assert result == "AB"
+    def test_verify_mode_agrees_on_honest_closures(self, verify_mode):
+        rule = compile_mapping(MAPPING).rules[-1]
+        attrs = lower_attrs({"Name": ["ab"], "Room": ["2B"]})
+        assert rule.evaluate(attrs) == "AB-2B"
+        assert verify_mode == [rule]
 
-    def test_verify_mode_raises_on_divergence(self, fresh_cache):
+    def test_verify_mode_raises_on_divergence(self, verify_mode):
         code = expr_code('upper(Name)')
         lying = CompiledClosure(
             name="m.a",
@@ -326,20 +296,64 @@ class TestRunRule:
             source="",
             fingerprint=code.fingerprint(),
         )
-        fresh_cache._entries[("m", "a")] = (code.fingerprint(), lying)
-        with pytest.raises(LexpressDivergenceError) as exc_info:
-            run_rule(
-                code, {"Name": ["ab"]},
-                mapping="m", attribute="a", mode="verify",
-            )
-        error = exc_info.value
-        assert error.mapping == "m" and error.attribute == "a"
-        assert error.interpreted == "AB" and error.compiled == "WRONG"
-        assert "divergence" in str(error)
+        rule = CompiledRule("a", code, closure=lying)
+        with pytest.raises(AssertionError, match="divergence") as exc_info:
+            rule.evaluate({"name": ["ab"]})
+        assert "'AB'" in str(exc_info.value)
+        assert "'WRONG'" in str(exc_info.value)
 
-    def test_unknown_mode_is_an_error(self, fresh_cache):
-        with pytest.raises(ValueError, match="lexpress_mode"):
-            run_rule(expr_code('Name'), {}, mode="bogus")
+
+# -- closures bound when a mapping compiles ----------------------------------
+
+
+class TestBoundClosures:
+    def test_every_standard_rule_has_a_bound_closure(self):
+        # Production runs no rule through a silent interpreter fallback.
+        from repro.schemas import standard_mappings
+
+        for mapping in standard_mappings().values():
+            for rule in mapping.rules:
+                assert rule.closure is not None, f"{mapping.name}.{rule.target}"
+
+    def test_recompiling_a_description_rebinds(self):
+        before = compile_mapping(MAPPING).rules[-1]
+        after = compile_mapping(MAPPING.replace("upper", "lower")).rules[-1]
+        assert after.closure is not before.closure
+        attrs = lower_attrs({"Name": ["Ab"], "Room": ["2B"]})
+        assert after.evaluate(attrs) == "ab-2B"
+
+    def test_alternating_prefixes_compile_nothing_after_construction(self):
+        # Two systems whose ldap_to_pbx rules compile to different byte
+        # code: alternating updates between them must not recompile.
+        from repro.core import MetaComm, MetaCommConfig
+        from repro.ldap import Modification
+
+        systems = [
+            MetaComm(
+                MetaCommConfig(organizations=("Marketing",), phone_prefix=prefix)
+            )
+            for prefix in ("+1 908 582 ", "+44 20 7946 ")
+        ]
+        try:
+            for system in systems:
+                assert all(
+                    rule.closure is not None
+                    for mapping in system.mappings.values()
+                    for rule in mapping.rules
+                )
+                _provision(system)
+            compiles = rule_cache().stats()["compiles"]
+            for i in range(20):
+                system = systems[i % 2]
+                system.connection().modify(
+                    "cn=Jo Smith,o=Marketing,o=Lucent",
+                    [Modification.replace("definityRoom", f"2B-{i}")],
+                )
+            assert rule_cache().stats()["compiles"] == compiles
+            assert all(system.consistent() for system in systems)
+        finally:
+            for system in systems:
+                system.close()
 
 
 # -- MetaComm wiring ---------------------------------------------------------
@@ -361,71 +375,46 @@ def _provision(system):
 
 class TestMetaCommModes:
     def test_invalid_mode_is_rejected_at_boot(self):
-        from repro.core import MetaComm, MetaCommConfig
+        # The engine is no longer selectable: naming one is rejected.
+        from repro.core import MetaCommConfig
 
-        with pytest.raises(ValueError, match="lexpress_mode"):
-            MetaComm(MetaCommConfig(lexpress_mode="bogus"))
+        assert "lexpress_mode" not in {
+            f.name for f in dataclasses.fields(MetaCommConfig)
+        }
+        with pytest.raises(TypeError, match="lexpress_mode"):
+            MetaCommConfig(lexpress_mode="compiled")
 
     def test_compiled_mode_provisions_and_journals(self):
         from repro.core import MetaComm, MetaCommConfig
         from repro.obs.events import LEXPRESS_COMPILED
 
-        # A warm process-wide cache would serve hits and journal nothing.
-        rule_cache().clear()
-        system = MetaComm(
-            MetaCommConfig(
-                organizations=("Marketing",), lexpress_mode="compiled"
-            )
-        )
-        try:
+        with MetaComm(MetaCommConfig(organizations=("Marketing",))) as system:
             _provision(system)
             assert system.pbx().station("4100") is not None
             assert system.consistent()
             compiles = system.obs.journal.events(LEXPRESS_COMPILED)
-            assert compiles
+            rules = [
+                (mapping.name, rule.target)
+                for mapping in system.mappings.values()
+                for rule in mapping.rules
+            ]
+            assert [
+                (e.attributes["mapping"], e.attributes["attribute"])
+                for e in compiles
+            ] == rules
             assert all(
                 e.attributes["status"] == "compiled" for e in compiles
             )
-        finally:
-            system.close()
 
-    def test_verify_mode_runs_the_workload_without_divergence(self):
+    def test_verify_mode_runs_the_workload_without_divergence(self, verify_mode):
         # The acceptance gate: the shipped mapping library produces
         # identical values from both engines across a full provisioning
-        # fan-out (any disagreement raises LexpressDivergenceError).
-        from repro.core import MetaComm, MetaCommConfig
-
-        rule_cache().clear()
-        system = MetaComm(
-            MetaCommConfig(
-                organizations=("Marketing",), lexpress_mode="verify"
-            )
-        )
-        try:
-            _provision(system)
-            system.terminal().execute("change station 4100 room 2B-110")
-            assert system.consistent()
-            assert rule_cache().stats()["compiles"] > 0
-        finally:
-            system.close()
-
-    def test_close_unsubscribes_the_compile_listener(self):
-        from repro.core import MetaComm, MetaCommConfig
-
-        before = len(rule_cache()._listeners)
-        system = MetaComm(
-            MetaCommConfig(
-                organizations=("Marketing",), lexpress_mode="compiled"
-            )
-        )
-        assert len(rule_cache()._listeners) == before + 1
-        system.close()
-        assert len(rule_cache()._listeners) == before
-
-    def test_interpret_mode_leaves_mappings_alone(self):
+        # fan-out (any disagreement fails the verify_mode fixture).
         from repro.core import MetaComm, MetaCommConfig
 
         with MetaComm(MetaCommConfig(organizations=("Marketing",))) as system:
-            assert all(
-                m.lexpress_mode is None for m in system.mappings.values()
-            )
+            _provision(system)
+            system.terminal().execute("change station 4100 room 2B-110")
+            assert system.consistent()
+        assert verify_mode
+        assert all(rule.closure is not None for rule in verify_mode)

@@ -99,7 +99,7 @@ def test_execution_is_deterministic(source, attrs):
 @given(source=expr_source, attrs=record)
 @settings(max_examples=200, deadline=None)
 def test_compiled_closures_match_the_interpreter(source, attrs):
-    """The differential property behind lexpress_mode="verify": for any
+    """The differential property behind the verify_mode fixture: for any
     program, the synthesized closure and the interpreter must agree on
     the value *and its type* — or fail with the same error family."""
     try:
