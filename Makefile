@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test check check-concur bench-smoke bench bench-lanes bench-links bench-health bench-e7 lint stats monitor
+.PHONY: test check check-concur bench-smoke bench bench-selftest bench-lanes bench-links bench-health bench-e7 lint stats monitor
 
 ## Tier-1: the full unit/integration suite (tests/ only).
 test:
@@ -52,6 +52,11 @@ lint:
 	@$(PYTHON) -m ruff --version >/dev/null 2>&1 \
 		&& $(PYTHON) -m ruff check src tests benchmarks \
 		|| echo "ruff not installed; skipping lint"
+
+## Self-test of the end-to-end benchmark harness (perfbench/): both
+## workloads on short runs, so a config change cannot break it unseen.
+bench-selftest:
+	$(PYTHON) -m pytest -q perfbench -p no:cacheprovider
 
 ## The full experiment harness (slow).
 bench:

@@ -16,9 +16,21 @@ from repro.core import MetaComm, MetaCommConfig
 from repro.schemas import PERSON_CLASSES
 
 
+#: Systems built during the current benchmark; closed after it, so no
+#: test leaves link dispatcher and notifier threads polling under the
+#: benchmarks that run after it.
+_built: list[MetaComm] = []
+
+
+def tracked(system: MetaComm) -> MetaComm:
+    """Close ``system`` when the current benchmark ends."""
+    _built.append(system)
+    return system
+
+
 def fresh_system(**kwargs) -> MetaComm:
     config = MetaCommConfig(organizations=("Marketing", "R&D"), **kwargs)
-    return MetaComm(config)
+    return tracked(MetaComm(config))
 
 
 def person_attrs(cn: str, sn: str, **extra) -> dict:
@@ -38,6 +50,13 @@ def report(title: str, headers: list[str], rows: list[tuple]) -> None:
     print("  ".join("-" * w for w in widths))
     for row in rows:
         print("  ".join(str(c).ljust(w) for c, w in zip(row, widths)))
+
+
+@pytest.fixture(autouse=True)
+def _close_built_systems():
+    yield
+    while _built:
+        _built.pop().close()
 
 
 @pytest.fixture

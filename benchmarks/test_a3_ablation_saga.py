@@ -9,7 +9,7 @@ injected failures: orphaned device records for abort+log (manual cleanup
 debt), none for sagas — at the price of extra compensation operations.
 """
 
-from conftest import person_attrs, report
+from conftest import person_attrs, report, tracked
 
 from repro.core import MetaComm, MetaCommConfig
 from repro.devices import InvalidFieldError
@@ -19,8 +19,8 @@ FAILURES = 10
 
 
 def run_faulty_workload(undo: bool):
-    system = MetaComm(
-        MetaCommConfig(organizations=("Ops",), undo_on_failure=undo)
+    system = tracked(
+        MetaComm(MetaCommConfig(organizations=("Ops",), undo_on_failure=undo))
     )
     conn = system.connection()
     # The messaging platform rejects every provisioning attempt.

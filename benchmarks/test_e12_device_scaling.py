@@ -11,7 +11,7 @@ number of devices, and partitioning keeps irrelevant devices untouched
 import itertools
 
 import pytest
-from conftest import person_attrs, report
+from conftest import person_attrs, report, tracked
 
 from repro.core import MetaComm, MetaCommConfig, PbxConfig
 
@@ -29,7 +29,9 @@ def build_system(n_pbx: int) -> MetaComm:
             f"4{j}" for j in range(i * prefixes_per_pbx, (i + 1) * prefixes_per_pbx)
         )
         pbxes.append(PbxConfig(f"pbx-{i}", prefixes))
-    return MetaComm(MetaCommConfig(organizations=("Marketing",), pbxes=pbxes))
+    return tracked(
+        MetaComm(MetaCommConfig(organizations=("Marketing",), pbxes=pbxes))
+    )
 
 
 @pytest.mark.parametrize("n_pbx", [1, 2, 4, 8])

@@ -8,7 +8,7 @@ delete at one PBX plus an add at another.
 """
 
 import pytest
-from conftest import person_attrs, report
+from conftest import person_attrs, report, tracked
 
 from repro.core import MetaComm, MetaCommConfig, PbxConfig
 from repro.lexpress import (
@@ -77,9 +77,14 @@ def test_e4_full_stack_migration(benchmark):
     """End-to-end: one LDAP modify migrates the station between PBXes."""
 
     def setup():
-        system = MetaComm(
-            MetaCommConfig(
-                pbxes=[PbxConfig("pbx-west", ("41",)), PbxConfig("pbx-east", ("43",))]
+        system = tracked(
+            MetaComm(
+                MetaCommConfig(
+                    pbxes=[
+                        PbxConfig("pbx-west", ("41",)),
+                        PbxConfig("pbx-east", ("43",)),
+                    ]
+                )
             )
         )
         conn = system.connection()

@@ -7,7 +7,7 @@ exact tree, verifies the DN semantics the section-2 text walks through,
 and benchmarks subtree search over it.
 """
 
-from conftest import person_attrs, report
+from conftest import person_attrs, report, tracked
 
 from repro.core import MetaComm, MetaCommConfig
 from repro.ldap import DN, Scope
@@ -21,8 +21,10 @@ FIGURE_2 = {
 
 
 def build_tree() -> MetaComm:
-    system = MetaComm(
-        MetaCommConfig(organizations=tuple(FIGURE_2), messaging_name=None)
+    system = tracked(
+        MetaComm(
+            MetaCommConfig(organizations=tuple(FIGURE_2), messaging_name=None)
+        )
     )
     conn = system.connection()
     for org, cn in FIGURE_2.items():

@@ -48,7 +48,6 @@ def _fleet(observability: bool) -> MetaComm:
         MetaCommConfig(
             pbxes=[PbxConfig(f"pbx-{i + 1}", ("4",)) for i in range(PBXES)],
             observability=observability,
-            audit_interval=AUDIT_INTERVAL,
         )
     )
     for pbx in system.pbxes.values():
@@ -61,7 +60,7 @@ def _run_once(observability: bool) -> float:
     system = _fleet(observability)
     try:
         if observability:
-            system.auditor.start()
+            system.auditor.start(interval=AUDIT_INTERVAL)
         conn = system.connection()
         start = time.perf_counter()
         for i in range(UPDATES):

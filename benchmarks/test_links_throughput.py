@@ -154,7 +154,6 @@ def _observe_stall() -> dict:
             pbxes=[PbxConfig("pbx-1", ("41",))],
             coordinator_lanes=2,
             lane_depth_limit=depth_limit,
-            busy_policy="defer",
             busy_timeout=30.0,
         )
     )

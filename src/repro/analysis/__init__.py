@@ -10,7 +10,10 @@ Entry points:
 
 * :func:`analyze` / :func:`analyze_strict` over an :class:`AnalysisTarget`
 * ``MetaComm`` builds its own target — ``system.analyze()`` or
-  ``MetaCommConfig(strict_analysis=True)``
+  ``MetaCommConfig(strict_analysis=True)``, the boot gate over
+  deployment input
+* :func:`analyze_concurrency` / :func:`analyze_concurrency_strict` over
+  the runtime's own source (``make check-concur``; not a boot gate)
 * ``python -m repro check [--json] [files...]`` from the command line
 """
 

@@ -77,11 +77,8 @@ def analyze_concurrency(
 def analyze_concurrency_strict(
     root: str | Path | None = None, registry=None
 ) -> AnalysisReport:
-    """:func:`analyze_concurrency`, raising on error-severity findings.
-
-    The strict boot gate (``MetaCommConfig(strict_concurrency=True)``)
-    refuses to construct a runtime whose lock discipline has a known
-    inversion."""
+    """:func:`analyze_concurrency`, raising on error-severity findings
+    (a runtime whose lock discipline has a known inversion)."""
     report = analyze_concurrency(root, registry=registry)
     if not report.ok:
         raise AnalysisError(report)

@@ -15,7 +15,9 @@ applies inline ``# lexcheck: ignore[...]`` suppressions from the
 mappings' retained source text, and returns a sorted
 :class:`AnalysisReport`.  ``MetaCommConfig(strict_analysis=True)`` calls
 this before constructing the Update Manager and refuses to boot on any
-error-severity finding (:class:`AnalysisError`).
+error-severity finding (:class:`AnalysisError`) — the one boot gate, as
+the target is the deployment's own input (an overlapping ``PbxConfig``
+prefix is an LX301 error).
 """
 
 from __future__ import annotations

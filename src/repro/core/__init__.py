@@ -17,7 +17,6 @@ from .pipeline import (
     DevicePlan,
     FailurePolicy,
     SequenceOutcome,
-    StageResult,
     UpdatePlan,
     UpdateSequencePipeline,
     merge_attrs,
@@ -45,7 +44,6 @@ __all__ = [
     "QueuedUpdate",
     "SequenceOutcome",
     "ShardedUpdateQueue",
-    "StageResult",
     "SyncReport",
     "Synchronizer",
     "UM_AGENT",

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..devices.links import LinkConfig, LinkDispatcher
+from ..devices.links import LinkDispatcher
 from ..devices.messaging.platform import MessagingPlatform
 from ..devices.pbx.definity import DefinityPbx, partition_expression
 from ..devices.pbx.ossi import OssiTerminal
@@ -77,15 +77,6 @@ class MetaCommConfig:
     #: every instrument into a no-op — the baseline of the overhead
     #: benchmark.
     observability: bool = True
-    #: How many recent update traces the ring buffer retains.
-    trace_capacity: int = 256
-    #: How many lifecycle events the journal's bounded ring retains.
-    journal_capacity: int = 1024
-    #: Cadence (seconds) of the background consistency auditor when
-    #: started via ``system.auditor.start()``.  The auditor never runs
-    #: unless started — tests and the `monitor` CLI drive cycles
-    #: explicitly.
-    audit_interval: float = 0.5
     #: Concurrent coordinator lanes for the Update Manager's drain path.
     #: 1 (default) is the paper's single global queue: strict serial
     #: order, no routing oracle.  >1 builds a routing oracle from the
@@ -94,24 +85,13 @@ class MetaCommConfig:
     #: serial fallback lane for everything unprovable — see
     #: docs/CONCURRENCY.md.
     coordinator_lanes: int = 1
-    #: Device fan-out always runs over event-driven device links
-    #: (docs/DEVICE_LINKS.md): one dispatcher thread drives pipelined,
-    #: batched command streams over every device link.
-    #: Maximum command streams (flushed batches) in flight per link.
-    link_window: int = 4
-    #: Maximum operations coalesced into one command stream.
-    link_batch: int = 8
-    #: Maximum operations waiting on one link before submits defer/block.
-    link_queue_limit: int = 64
     #: Maximum outstanding updates per coordinator lane before LTAP's
     #: admission control defers or rejects with ServerBusy.  ``None``
     #: (default) disables admission — the pre-link unbounded behaviour.
     lane_depth_limit: int | None = None
-    #: What admission does at the limit: "reject" answers ServerBusy
-    #: immediately, "defer" waits up to ``busy_timeout`` first.
-    busy_policy: str = "reject"
-    #: Bounded admission wait (seconds) under ``busy_policy="defer"``.
-    busy_timeout: float = 0.5
+    #: How long (seconds) admission waits for room on a full lane before
+    #: answering ServerBusy.  0 (default) answers ServerBusy at once.
+    busy_timeout: float = 0.0
     #: Run lexcheck (repro.analysis) over the full configuration before
     #: constructing the Update Manager and refuse to boot on any
     #: error-severity finding (docs/ANALYSIS.md).  Off by default: the
@@ -124,12 +104,6 @@ class MetaCommConfig:
     #: journaled as ``witness.violation`` events.  Meant for tests,
     #: stress runs and canaries — each acquisition pays a dict probe.
     lock_witness: bool = False
-    #: Boot gate over the *runtime* source: run the LX5xx concurrency
-    #: analyzer (repro.analysis.concur) and refuse to construct the
-    #: system on any error-severity finding (a known lock-order
-    #: inversion).  The analysis is per-process cached by the witness
-    #: seed path but re-run here for the gate's own report.
-    strict_concurrency: bool = False
 
 
 class MetaComm:
@@ -139,22 +113,11 @@ class MetaComm:
         self.config = config or MetaCommConfig()
         suffix = DN.parse(self.config.suffix)
 
-        if self.config.strict_concurrency:
-            # Boot gate over the runtime source itself: refuse to build a
-            # system whose lock discipline has a known inversion (LX501).
-            from ..analysis.concur import analyze_concurrency_strict
-
-            analyze_concurrency_strict()
-
         #: This system's health plane: metrics registry, trace ring
         #: buffer, event journal and device-health board.  Every component
         #: below reports here, so one scrape (``metrics_text``), one trace
         #: query or one journal read covers the whole Figure-1 pipeline.
-        self.obs = Observability(
-            enabled=self.config.observability,
-            trace_capacity=self.config.trace_capacity,
-            journal_capacity=self.config.journal_capacity,
-        )
+        self.obs = Observability(enabled=self.config.observability)
         self.schema = build_integrated_schema()
         self.server = LdapServer(
             [suffix],
@@ -259,7 +222,6 @@ class MetaComm:
             coordinator_lanes=self.config.coordinator_lanes,
             routing_plan=routing_plan,
             lane_depth_limit=self.config.lane_depth_limit,
-            busy_policy=self.config.busy_policy,
             busy_timeout=self.config.busy_timeout,
         )
         self.sync = Synchronizer(self.um)
@@ -273,16 +235,9 @@ class MetaComm:
         self.links = LinkDispatcher(
             metrics=self.obs.registry, journal=self.obs.journal
         )
-        link_config = LinkConfig(
-            window=self.config.link_window,
-            batch=self.config.link_batch,
-            queue_limit=self.config.link_queue_limit,
-        )
         self.um.pipeline.attach_links(
             {
-                binding.name: self.links.register(
-                    binding.filter.device, link_config
-                )
+                binding.name: self.links.register(binding.filter.device)
                 for binding in bindings
             }
         )
@@ -304,10 +259,9 @@ class MetaComm:
             journal=self.obs.journal,
             rules=default_rules(),
         )
-        #: The background consistency auditor (not started by default).
-        self.auditor = ConsistencyAuditor(
-            self, interval=self.config.audit_interval
-        )
+        #: The background consistency auditor (not started by default;
+        #: ``auditor.start(interval=...)`` sets its cadence).
+        self.auditor = ConsistencyAuditor(self)
 
         # Equality indexes on the hot lookup paths: entry location by
         # device key and the person-class searches of every fan-out.

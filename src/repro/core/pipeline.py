@@ -95,7 +95,6 @@ __all__ = [
     "DevicePlan",
     "FailurePolicy",
     "SequenceOutcome",
-    "StageResult",
     "UpdatePlan",
     "UpdateSequencePipeline",
     "merge_attrs",
@@ -198,15 +197,6 @@ class DeviceOutcome:
 
 
 @dataclass
-class StageResult:
-    """Timing and headline facts of one executed stage."""
-
-    stage: str
-    duration: float
-    info: dict = field(default_factory=dict)
-
-
-@dataclass
 class SequenceOutcome:
     """The full result of one update sequence through the pipeline."""
 
@@ -221,13 +211,6 @@ class SequenceOutcome:
     rolled_back: list[str] = field(default_factory=list)
     supplement: dict[str, list[str]] = field(default_factory=dict)
     supplemental_written: bool = False
-    stages: list[StageResult] = field(default_factory=list)
-
-    def stage(self, name: str) -> StageResult | None:
-        for result in self.stages:
-            if result.stage == name:
-                return result
-        return None
 
 
 class UpdateSequencePipeline:
@@ -315,23 +298,15 @@ class UpdateSequencePipeline:
     # -- stage bookkeeping --------------------------------------------------------
 
     @contextmanager
-    def _stage(
-        self,
-        stage: str,
-        trace: Trace | None,
-        stages: list[StageResult] | None = None,
-        **attributes,
-    ):
-        info: dict = {}
+    def _stage(self, stage: str, trace: Trace | None, **attributes):
         start = time.perf_counter()
         try:
             with trace_span(trace, STAGE_SPANS[stage], **attributes) as span:
-                yield span, info
+                yield span
         finally:
-            duration = time.perf_counter() - start
-            self.stage_seconds.labels(stage=stage).observe(duration)
-            if stages is not None:
-                stages.append(StageResult(stage, duration, info))
+            self.stage_seconds.labels(stage=stage).observe(
+                time.perf_counter() - start
+            )
 
     # -- intake ------------------------------------------------------------------
 
@@ -369,13 +344,12 @@ class UpdateSequencePipeline:
         descriptor: UpdateDescriptor,
         trace: Trace | None = None,
         serial: int = 0,
-        stages: list[StageResult] | None = None,
     ) -> UpdatePlan:
         """Run the enrich and plan stages for one descriptor."""
         if descriptor.op is UpdateOp.DELETE:
             enriched = descriptor
         else:
-            with self._stage("enrich", trace, stages):
+            with self._stage("enrich", trace):
                 enriched = self._enrich(descriptor)
         plan = UpdatePlan(
             descriptor=descriptor,
@@ -385,12 +359,11 @@ class UpdateSequencePipeline:
             if descriptor.op is not UpdateOp.DELETE
             else {},
         )
-        with self._stage("plan", trace, stages) as (span, info):
+        with self._stage("plan", trace) as span:
             for index, binding in enumerate(self.bindings):
                 device_plan = self.plan_device_update(binding, enriched, index)
                 if device_plan is not None:
                     plan.device_plans.append(device_plan)
-            info["devices"] = len(plan.device_plans)
             if span is not None:
                 span.attributes["devices"] = len(plan.device_plans)
         if self.journal is not None:
@@ -460,9 +433,8 @@ class UpdateSequencePipeline:
 
         ``timeout`` bounds the wait for the device links (seconds, for the
         whole fan-out); expiry raises :class:`LinkTimeout`."""
-        stages: list[StageResult] = []
-        plan = self.build_plan(descriptor, trace, serial=serial, stages=stages)
-        outcome = SequenceOutcome(plan=plan, stages=stages)
+        plan = self.build_plan(descriptor, trace, serial=serial)
+        outcome = SequenceOutcome(plan=plan)
         self.last_outcome = outcome
 
         linked = bool(self._links) and all(
@@ -471,7 +443,6 @@ class UpdateSequencePipeline:
         with self._stage(
             "fanout",
             trace,
-            stages,
             mode="links" if linked else "serial",
             devices=len(plan.device_plans),
         ):
@@ -493,24 +464,22 @@ class UpdateSequencePipeline:
         if outcome.aborted:
             return outcome
 
-        with self._stage("merge", trace, stages) as (_span, info):
+        with self._stage("merge", trace):
             supplement = merge_attrs({}, plan.base_supplement)
             for device_outcome in outcome.outcomes:
                 if device_outcome.applied:
                     merge_attrs(supplement, device_outcome.supplement)
             outcome.supplement = supplement
-            info["attributes"] = len(supplement)
 
         if supplement and descriptor.op is not UpdateOp.DELETE:
             dn = DN.parse(descriptor.key) if descriptor.key else None
             if dn is not None:
-                with self._stage("supplemental", trace, stages) as (span, info):
+                with self._stage("supplemental", trace) as span:
                     wrote = self.ldap_filter.apply_supplemental(
                         dn, supplement, session
                     )
                     if span is not None:
                         span.attributes["wrote"] = wrote
-                    info["wrote"] = wrote
                 if wrote:
                     self.supplemental_total.inc()
                     outcome.supplemental_written = True

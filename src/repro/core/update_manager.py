@@ -65,7 +65,7 @@ from .errorlog import ErrorLog
 from .filters.base import Filter, FilterError
 from .filters.device_filter import DeviceFilter
 from .filters.ldap_filter import LdapFilter
-from .pipeline import FailurePolicy, UpdateSequencePipeline, _descriptor_from_event
+from .pipeline import FailurePolicy, UpdateSequencePipeline
 from .queue import QueuedUpdate, QueueSaturatedError, ShardedUpdateQueue
 
 
@@ -102,8 +102,7 @@ class UpdateManager:
         coordinator_lanes: int = 1,
         routing_plan=None,
         lane_depth_limit: int | None = None,
-        busy_policy: str = "reject",
-        busy_timeout: float = 0.5,
+        busy_timeout: float = 0.0,
     ):
         self.server = server
         self.gateway = gateway
@@ -116,12 +115,8 @@ class UpdateManager:
         self.health = health
         self.coordinator_lanes = max(1, coordinator_lanes)
         self.routing_plan = routing_plan
-        if busy_policy not in ("reject", "defer"):
-            raise ValueError("busy_policy must be 'reject' or 'defer'")
-        #: Admission policy when a lane is at its depth limit: ``reject``
-        #: answers ServerBusy immediately, ``defer`` waits up to
-        #: ``busy_timeout`` seconds for capacity first.
-        self.busy_policy = busy_policy
+        #: How long admission waits for room on a lane at its depth limit
+        #: before answering ServerBusy (0: answer at once).
         self.busy_timeout = busy_timeout
         # One lane is the paper's single global queue; more lanes spread
         # the routing oracle's provably-commuting updates over concurrent
@@ -243,32 +238,6 @@ class UpdateManager:
     def closure(self, closure: ClosureEngine) -> None:
         self.pipeline.closure = closure
 
-    # -- failure policy (delegated to the pipeline) ---------------------------------
-
-    @property
-    def abort_on_failure(self) -> bool:
-        return self.pipeline.policy.abort_on_failure
-
-    @abort_on_failure.setter
-    def abort_on_failure(self, value: bool) -> None:
-        self.pipeline.policy = FailurePolicy(
-            abort_on_failure=value,
-            undo_on_failure=self.pipeline.policy.undo_on_failure,
-        )
-
-    @property
-    def undo_on_failure(self) -> bool:
-        """Section 4.4 future work: compensate already-applied device
-        updates when a later one fails — the saga technique."""
-        return self.pipeline.policy.undo_on_failure
-
-    @undo_on_failure.setter
-    def undo_on_failure(self, value: bool) -> None:
-        self.pipeline.policy = FailurePolicy(
-            abort_on_failure=self.pipeline.policy.abort_on_failure,
-            undo_on_failure=value,
-        )
-
     def close(self) -> None:
         """Stop the coordinator lane threads."""
         self.stop()
@@ -379,9 +348,9 @@ class UpdateManager:
         ``lane_depth_limit`` is configured: runs *before* the directory
         write, builds a best-effort descriptor from the request so the
         routing oracle can name the lane the update would land on, and
-        defers (``busy_policy="defer"``) or rejects with
-        :class:`~repro.ldap.result.ServerBusyError` when that lane is at
-        its depth limit.  A rejected update never reaches the directory,
+        when that lane is at its depth limit waits up to ``busy_timeout``
+        seconds for room, then rejects with
+        :class:`~repro.ldap.result.ServerBusyError`.  A rejected update never reaches the directory,
         so nothing is lost, duplicated, or left to compensate."""
         if self.queue.depth_limit is None:
             return
@@ -389,11 +358,13 @@ class UpdateManager:
         descriptor = self._probe_descriptor(request)
         if descriptor is None:
             return
-        timeout = self.busy_timeout if self.busy_policy == "defer" else None
         trace = session.state.get(OBS_TRACE) if session is not None else None
         try:
             self.queue.admit(
-                descriptor, rename=rename, timeout=timeout, trace=trace
+                descriptor,
+                rename=rename,
+                timeout=self.busy_timeout,
+                trace=trace,
             )
         except QueueSaturatedError as exc:
             raise ServerBusyError(str(exc)) from exc
@@ -501,11 +472,6 @@ class UpdateManager:
             self._process(item, event.session)
         finally:
             self.queue.finish(item)
-
-    def _descriptor_from_event(
-        self, event: TriggerEvent
-    ) -> UpdateDescriptor | None:
-        return _descriptor_from_event(event)
 
     # -- DDU intake -------------------------------------------------------------------
 

@@ -23,8 +23,8 @@ This module replaces that with the link layer the ROADMAP calls the
 Ordering: per link the submit queue is FIFO, batches are formed and
 executed strictly in queue order, and round-trip deadlines are
 monotonic per device — so per-record (indeed per-device) operation
-order is exactly submission order, the property the window=1/batch=1
-equivalence test pins against the paper-serial path.
+order is exactly submission order, the property the link/serial
+equivalence tests pin against the paper-serial path.
 
 Commit notifications raised while a batch executes are *deferred*: the
 dispatcher must never run a DDU listener inline (the listener fans back
@@ -35,6 +35,8 @@ Shutdown order (:meth:`LinkDispatcher.stop`): stop the dispatcher, fail
 every orphaned future, *then* stop the notifier.  A notifier thread can
 be delivering a DDU whose update sequence waits on a link future; failing
 the orphans first releases that wait, so the notifier join returns.
+Each join is bounded by :data:`STOP_JOIN_TIMEOUT`; a thread that
+outlives it is reported as :class:`LinkTimeout`.
 """
 
 from __future__ import annotations
@@ -60,7 +62,16 @@ class LinkBusy(DeviceError):
 
 
 class LinkTimeout(DeviceError):
-    """A submitted op did not complete before its caller's deadline."""
+    """A link wait outlived its deadline: a caller waiting on a submitted
+    op, or :meth:`LinkDispatcher.stop` joining a link thread
+    (:data:`STOP_JOIN_TIMEOUT`)."""
+
+
+#: How long :meth:`LinkDispatcher.stop` waits for each of its threads to
+#: exit (seconds).  Every wait inside them is bounded by the stop ordering
+#: or by the Update Manager's 30 s coordinator timeout, so a thread still
+#: alive after this is stuck, and stop() names it instead of hanging.
+STOP_JOIN_TIMEOUT = 30.0
 
 
 @dataclass(frozen=True)
@@ -323,13 +334,16 @@ class LinkDispatcher:
         Orphans are failed *before* the notifier is stopped: the notifier
         may be delivering a DDU whose fan-out waits on one of them, and
         joining it first would wait forever.  Submits after ``stop`` fail
-        fast, so no new orphan can appear once the dispatcher is gone."""
+        fast, so no new orphan can appear once the dispatcher is gone.
+
+        Raises :class:`LinkTimeout` naming any thread still alive after
+        :data:`STOP_JOIN_TIMEOUT`; calling ``stop()`` again retries its
+        join."""
         with self._cond:
             self._stopped = True
             self._cond.notify_all()
-        if self._thread is not None:
-            self._thread.join()
-            self._thread = None
+        stuck: list[str] = []
+        self._thread = self._join_bounded(self._thread, stuck)
         orphans: list[_LinkOp] = []
         with self._cond:
             for link in self._links:
@@ -344,9 +358,28 @@ class LinkDispatcher:
         with self._notify_cond:
             self._notify_stop = True
             self._notify_cond.notify_all()
-        if self._notifier is not None:
-            self._notifier.join()
-            self._notifier = None
+        self._notifier = self._join_bounded(self._notifier, stuck)
+        if stuck:
+            raise LinkTimeout(
+                f"link thread(s) {', '.join(stuck)} still running "
+                f"{STOP_JOIN_TIMEOUT} s after stop()"
+            )
+
+    @staticmethod
+    def _join_bounded(
+        thread: threading.Thread | None, stuck: list[str]
+    ) -> threading.Thread | None:
+        """Join ``thread`` for at most :data:`STOP_JOIN_TIMEOUT` seconds.
+
+        Returns ``None`` once it has exited; otherwise appends its name
+        to ``stuck`` and returns it, so a later ``stop()`` joins it again."""
+        if thread is None:
+            return None
+        thread.join(timeout=STOP_JOIN_TIMEOUT)
+        if thread.is_alive():
+            stuck.append(thread.name)
+            return thread
+        return None
 
     # -- event loop --------------------------------------------------------------
 

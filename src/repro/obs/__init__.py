@@ -93,42 +93,13 @@ __all__ = [
 class Observability:
     """One system's metrics registry + traces + journal + health board."""
 
-    def __init__(
-        self,
-        enabled: bool = True,
-        trace_capacity: int = 256,
-        journal_capacity: int = 1024,
-        health_policy: HealthPolicy | None = None,
-    ):
+    def __init__(self, enabled: bool = True):
         self.registry = MetricsRegistry(enabled=enabled)
-        self.tracer = Tracer(capacity=trace_capacity, enabled=enabled)
-        self.journal = EventJournal(
-            capacity=journal_capacity,
-            enabled=enabled,
-            registry=self.registry,
-        )
+        self.tracer = Tracer(enabled=enabled)
+        self.journal = EventJournal(enabled=enabled, registry=self.registry)
         self.health = HealthBoard(
-            registry=self.registry,
-            journal=self.journal,
-            policy=health_policy,
-            enabled=enabled,
+            registry=self.registry, journal=self.journal, enabled=enabled
         )
-
-    @property
-    def enabled(self) -> bool:
-        return self.registry.enabled
-
-    def disable(self) -> None:
-        self.registry.enabled = False
-        self.tracer.enabled = False
-        self.journal.enabled = False
-        self.health.enabled = False
-
-    def enable(self) -> None:
-        self.registry.enabled = True
-        self.tracer.enabled = True
-        self.journal.enabled = True
-        self.health.enabled = True
 
     def prometheus(self, include_global: bool = True) -> str:
         """Prometheus text format for this system (plus the process-wide

@@ -380,14 +380,6 @@ class TestStrict:
         report = analyze_concurrency_strict(tmp_path)
         assert "LX503" in codes(report.warnings)
 
-    def test_strict_boot_gate_refuses_inverted_runtime(self, tmp_path):
-        from repro.core import MetaComm, MetaCommConfig
-
-        # The shipped tree is clean, so the gate passes on the default
-        # root and the system constructs.
-        with MetaComm(MetaCommConfig(strict_concurrency=True)) as system:
-            assert system.consistent()
-
     def test_registry_counts_findings(self, tmp_path):
         from repro.obs.export import render_prometheus
         from repro.obs.metrics import MetricsRegistry

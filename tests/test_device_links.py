@@ -3,7 +3,8 @@
 Covers the link unit semantics (batching, bounded in-flight window,
 queue-limit defer/reject, FIFO order, clean shutdown), the non-blocking
 ``submit`` surfaces on devices / OSSI terminals / device filters, the
-window=1/batch=1 equivalence guarantee against the paper-serial fan-out,
+equivalence of the shipped link configuration with the paper-serial
+fan-out, bounded shutdown,
 the HealthBoard dual feed under a flapping link, and the backpressure
 chain from a stalled link through the sharded queue's lane depth limit
 up to LTAP's typed ServerBusy answer (docs/DEVICE_LINKS.md).
@@ -22,6 +23,7 @@ from repro.devices import (
     InvalidFieldError,
 )
 from repro.devices.links import LinkBusy, LinkConfig, LinkDispatcher, LinkTimeout
+from repro.devices import links as links_module
 from repro.core.filters.base import FilterError
 from repro.core.filters.device_filter import DeviceFilter
 from repro.devices.pbx.definity import DefinityPbx
@@ -383,6 +385,33 @@ class TestBoundedWaits:
         finally:
             system.close()
 
+    def test_stop_names_a_stuck_notifier_instead_of_hanging(self, monkeypatch):
+        monkeypatch.setattr(links_module, "STOP_JOIN_TIMEOUT", 0.2)
+        dispatcher = LinkDispatcher()
+        device = make_device()
+        dispatcher.register(device)
+        dispatcher.start()
+        release = threading.Event()
+        entered = threading.Event()
+
+        def blocking_listener(notification):
+            entered.set()
+            release.wait(timeout=30)
+
+        device.add_listener(blocking_listener)
+        try:
+            device.submit("add", {"Extension": "100"}).result(timeout=5)
+            assert entered.wait(timeout=5)
+            started = time.monotonic()
+            with pytest.raises(LinkTimeout, match="metacomm-link-notify"):
+                dispatcher.stop()
+            assert time.monotonic() - started < 1.0
+        finally:
+            release.set()
+        # The released notifier exits; a second stop() joins it.
+        dispatcher.stop()
+        assert dispatcher._notifier is None
+
     def test_fanout_wait_expires_as_link_timeout(self):
         system = linked_fleet(1)
         try:
@@ -407,13 +436,13 @@ class TestBoundedWaits:
             system.close()
 
 
-# -- window=1/batch=1 equivalence with the paper-serial fan-out --------------
+# -- equivalence with the paper-serial fan-out ---------------------------------
 
 
 class TestLinkedSerialEquivalence:
-    """Links at window=1/batch=1 (lanes=1) must be byte-identical with the
-    serial fan-out: same error-log records, same compensation order, same
-    final device states."""
+    """Links at the default :class:`LinkConfig` (lanes=1) must be
+    byte-identical with the serial fan-out: same error-log records, same
+    compensation order, same final device states."""
 
     SCENARIOS = {
         "abort": dict(abort_on_failure=True, undo_on_failure=False),
@@ -428,10 +457,7 @@ class TestLinkedSerialEquivalence:
     def test_failure_injection_matches(self, scenario):
         results = {}
         for mode in ("serial", "links"):
-            overrides = dict(self.SCENARIOS[scenario])
-            if mode == "links":
-                overrides.update(link_window=1, link_batch=1)
-            system = linked_fleet(3, **overrides)
+            system = linked_fleet(3, **self.SCENARIOS[scenario])
             if mode == "serial":
                 system.um.pipeline.attach_links({})
             try:
@@ -469,10 +495,7 @@ class TestLinkedSerialEquivalence:
 
         results = {}
         for mode in ("serial", "links"):
-            overrides = (
-                dict(link_window=1, link_batch=1) if mode == "links" else {}
-            )
-            system = linked_fleet(3, **overrides)
+            system = linked_fleet(3)
             if mode == "serial":
                 system.um.pipeline.attach_links({})
             try:
@@ -626,17 +649,21 @@ def lane_outstanding(system, label):
     raise AssertionError(f"no lane {label}")
 
 
+def window_one_link(system, name="pbx-1"):
+    """Narrow ``name``'s link to one op per round-trip before any traffic
+    (the dispatcher reads ``link.config`` on every flush), so the stall
+    arithmetic below counts whole updates."""
+    link = system.links.link(name)
+    link.config = LinkConfig(window=1, batch=1)
+    return link
+
+
 class TestBackpressure:
     def test_stalled_link_full_lane_rejects_with_server_busy(self):
-        system = linked_fleet(
-            1,
-            coordinator_lanes=2,
-            lane_depth_limit=2,
-            link_window=1,
-            link_batch=1,
-        )
+        # busy_timeout defaults to 0: a full lane answers ServerBusy at once.
+        system = linked_fleet(1, coordinator_lanes=2, lane_depth_limit=2)
         clients = []
-        link = system.links.link("pbx-1")
+        link = window_one_link(system)
         try:
             e1, e2, e3 = same_lane_extensions(system, 3)
             queue = system.um.queue
@@ -733,16 +760,10 @@ class TestBackpressure:
 
     def test_defer_policy_waits_out_the_stall(self):
         system = linked_fleet(
-            1,
-            coordinator_lanes=2,
-            lane_depth_limit=1,
-            link_window=1,
-            link_batch=1,
-            busy_policy="defer",
-            busy_timeout=10.0,
+            1, coordinator_lanes=2, lane_depth_limit=1, busy_timeout=10.0
         )
         clients = []
-        link = system.links.link("pbx-1")
+        link = window_one_link(system)
         try:
             e1, e2 = same_lane_extensions(system, 2)
             queue = system.um.queue

@@ -101,17 +101,6 @@ class TestUpdateTrace:
         assert {"ddu.translate", "ddu.forward", "filter.apply"} <= names
         assert trace.attributes["device"] == "definity"
 
-    def test_ring_buffer_respects_configured_capacity(self):
-        system = MetaComm(
-            MetaCommConfig(organizations=("Marketing",), trace_capacity=2)
-        )
-        for i in range(4):
-            system.connection().add(
-                f"cn=U{i},o=Marketing,o=Lucent",
-                person_attrs(f"U{i}", "U", definityExtension=str(4100 + i)),
-            )
-        assert len(system.traces("update")) == 2
-
     def test_threaded_mode_traces_cross_the_thread_hop(self, system):
         system.um.start()
         try:

@@ -14,6 +14,7 @@ import time
 import pytest
 
 from repro.core import MetaComm, MetaCommConfig, PbxConfig, merge_attrs
+from repro.core.pipeline import STAGE_SPANS
 from repro.core.queue import ShardedUpdateQueue
 from repro.devices import InvalidFieldError
 from repro.ldap import Modification
@@ -379,34 +380,50 @@ class TestSerialLinksEquivalence:
         assert results["serial"]["consistent"]
 
 
+def stage_spans(system):
+    """The stage spans of the last update trace, in the order they ran."""
+    names = set(STAGE_SPANS.values())
+    return [n for n in system.last_trace("update").span_names() if n in names]
+
+
 class TestStagedOutcome:
     def test_stages_of_a_successful_sequence(self):
         system = fleet(2)
-        system.connection().add(
-            "cn=A B,o=Lucent",
-            person_attrs("A B", "B", definityExtension="4100"),
-        )
-        outcome = system.um.pipeline.last_outcome
-        assert [s.stage for s in outcome.stages] == [
-            "enrich", "plan", "fanout", "merge", "supplemental",
-        ]
-        assert outcome.stage("plan").info["devices"] == 3
-        assert not outcome.aborted
-        assert outcome.supplemental_written
-        assert len(outcome.outcomes) == 3
-        assert all(o.applied for o in outcome.outcomes)
+        try:
+            system.connection().add(
+                "cn=A B,o=Lucent",
+                person_attrs("A B", "B", definityExtension="4100"),
+            )
+            assert stage_spans(system) == [
+                "stage.intake", "closure.enrich", "stage.plan",
+                "stage.fanout", "stage.merge", "ldap.supplemental",
+            ]
+            (plan_span,) = system.last_trace("update").find("stage.plan")
+            assert plan_span.attributes["devices"] == 3
+            outcome = system.um.pipeline.last_outcome
+            assert not outcome.aborted
+            assert outcome.supplemental_written
+            assert len(outcome.outcomes) == 3
+            assert all(o.applied for o in outcome.outcomes)
+        finally:
+            system.close()
 
     def test_aborted_sequence_stops_before_merge(self):
         system = fleet(2)
-        system.pbxes["pbx-1"].fault_injector = explode
-        system.connection().add(
-            "cn=A B,o=Lucent",
-            person_attrs("A B", "B", definityExtension="4100"),
-        )
-        outcome = system.um.pipeline.last_outcome
-        assert outcome.aborted
-        assert [s.stage for s in outcome.stages] == ["enrich", "plan", "fanout"]
-        assert not outcome.supplemental_written
+        try:
+            system.pbxes["pbx-1"].fault_injector = explode
+            system.connection().add(
+                "cn=A B,o=Lucent",
+                person_attrs("A B", "B", definityExtension="4100"),
+            )
+            outcome = system.um.pipeline.last_outcome
+            assert outcome.aborted
+            assert stage_spans(system) == [
+                "stage.intake", "closure.enrich", "stage.plan", "stage.fanout",
+            ]
+            assert not outcome.supplemental_written
+        finally:
+            system.close()
 
     def test_stage_histogram_and_spans(self):
         system = fleet(2)
